@@ -218,28 +218,34 @@ class RouteRelevanceScorer:
     ) -> Dict[str, float]:
         """Scores for a batch of clips keyed by clip id.
 
-        With a ``geo_index`` over tag centres, clips whose footprint cannot
-        reach the probe bounding box are scored 0 without running the inner
-        loop (their true score is below 1e-12).
+        With a ``geo_index`` over tag centres, a clip whose indexed centre
+        lies outside the probe bounding box grown by the batch's widest
+        footprint reach is scored 0 without running the inner loop (its
+        true score is below 1e-12).  Each clip's own indexed position is
+        tested against the box, so the cost follows the batch, not the
+        number of indexed clips the box covers.
         """
         tags = [clip_geo_tag(clip) for clip in clips]
-        near: Optional[set] = None
+        box: Optional[BoundingBox] = None
         if geo_index is not None and self._bounds is not None:
             reach = 0.0
             for tag in tags:
                 if tag is not None:
                     reach = max(reach, tag.reach_m)
             box = self._expanded_bounds(reach)
-            if box is not None:
-                near = set(geo_index.query_bbox(box))
         scores: Dict[str, float] = {}
         for clip, tag in zip(clips, tags):
+            clip_id = clip.clip_id
             if tag is None:
-                scores[clip.clip_id] = 0.5
-            elif near is not None and clip.clip_id not in near and clip.clip_id in geo_index:
-                scores[clip.clip_id] = 0.0
+                scores[clip_id] = 0.5
+            elif (
+                box is not None
+                and clip_id in geo_index
+                and not box.contains(geo_index.position_of(clip_id))
+            ):
+                scores[clip_id] = 0.0
             else:
-                scores[clip.clip_id] = self.tag_relevance(tag)
+                scores[clip_id] = self.tag_relevance(tag)
         return scores
 
     def _expanded_bounds(self, reach_m: float) -> Optional[BoundingBox]:

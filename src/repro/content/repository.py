@@ -16,7 +16,7 @@ cursors (:class:`~repro.storage.cursor.Page`).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.content.model import AudioClip, ContentKind, LiveProgramme, RadioService
 from repro.content.schedule import LinearSchedule
@@ -316,21 +316,27 @@ class ContentRepository:
         rows = self._clips_table.find_by_index("primary_category", category)
         return [self._clips[row["clip_id"]] for row in rows]
 
-    def clips_published_after(self, cutoff_s: float) -> List[AudioClip]:
-        """Clips published at or after ``cutoff_s``, newest first.
+    def iter_newest_first(self, cutoff_s: Optional[float] = None) -> Iterator[AudioClip]:
+        """Lazily walk clips newest first, down to ``cutoff_s`` (inclusive).
 
-        A descending range walk of the declarative publish-time index:
-        O(log n + k) instead of scanning and re-sorting the whole table.
+        A descending walk of the declarative publish-time index that maps
+        primary keys straight to the registered clips, copying no rows, so
+        a caller that stops after ``k`` clips pays O(log n + k).  Without
+        a cutoff the walk covers every clip.
         """
-        rows = self._clips_table.find_range("published", low=cutoff_s, descending=True)
-        return [self._clips[row["clip_id"]] for row in rows]
+        clips = self._clips
+        for clip_id in self._clips_table.iter_range_keys(
+            "published", low=cutoff_s, descending=True
+        ):
+            yield clips[clip_id]
+
+    def clips_published_after(self, cutoff_s: float) -> List[AudioClip]:
+        """Clips published at or after ``cutoff_s``, newest first."""
+        return list(self.iter_newest_first(cutoff_s))
 
     def clips_newest_first(self) -> List[AudioClip]:
         """All clips ordered by publish time, newest first."""
-        return [
-            self._clips[row["clip_id"]]
-            for row in self._clips_table.rows_in_index_order("published", descending=True)
-        ]
+        return list(self.iter_newest_first())
 
     def clips_page(
         self, *, cursor: Optional[str] = None, limit: int = 50

@@ -10,12 +10,18 @@ TF-IDF similarity to positively rated clips and a recency prior.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.content.model import AudioClip
 from repro.content.repository import ContentRepository
-from repro.errors import ValidationError
-from repro.textclass.tfidf import SparseVector, TfIdfVectorizer, cosine_similarity
+from repro.errors import NotFoundError, ValidationError
+from repro.textclass.tfidf import (
+    SparseVector,
+    TfIdfVectorizer,
+    cosine_similarity,
+    cosine_similarity_normed,
+    sparse_norm,
+)
 from repro.users.management import UserManager
 
 
@@ -63,30 +69,26 @@ class CandidateFilter:
         """
         try:
             return self._content.clip(clip_id)
-        except Exception:  # noqa: BLE001 - absence is a legitimate outcome
+        except NotFoundError:
             return None
 
     def candidates(self, user_id: str, *, now_s: float) -> List[AudioClip]:
         """The candidate clips for a user at a given time.
 
         The recency cut runs against the repository's publish-time index,
-        which already yields newest-first order, so the scan stops as soon
-        as the candidate cap is reached instead of visiting every clip.
+        walked lazily newest first, so the walk stops as soon as the
+        candidate cap is reached: the cost follows the candidates kept,
+        not the catalogue or the recency window.  Heard content (positive
+        or negative feedback alike) comes from one walk of the user's
+        feedback history.
         """
         config = self._config
-        heard = set(self._users.feedback.positive_content_ids(user_id)) | set(
-            self._users.feedback.negative_content_ids(user_id)
-        )
+        heard = {event.content_id for event in self._users.feedback.events_for_user(user_id)}
         disliked = set(self._users.preference_profile(user_id).disliked_categories())
         cutoff = now_s - config.max_age_s if config.max_age_s is not None else None
 
-        pool = (
-            self._content.clips_published_after(cutoff)
-            if cutoff is not None
-            else self._content.clips_newest_first()
-        )
         selected: List[AudioClip] = []
-        for clip in pool:
+        for clip in self._content.iter_newest_first(cutoff):
             if config.exclude_heard and clip.clip_id in heard:
                 continue
             if not config.min_duration_s <= clip.duration_s <= config.max_duration_s:
@@ -97,6 +99,33 @@ class CandidateFilter:
             if len(selected) >= config.max_candidates:
                 break
         return selected
+
+
+#: How many of the listener's most recent liked clips similarity compares to.
+_LIKED_WINDOW = 20
+
+#: One user's memo entry: the liked ids it was computed against and, per
+#: clip id, the clip object scored and its best similarity to those likes.
+_MemoEntry = Tuple[Tuple[str, ...], Dict[str, Tuple[AudioClip, float]]]
+
+
+class _TextModel:
+    """One fit of the TF-IDF model plus the state derived from it.
+
+    :meth:`ContentBasedScorer.fit_text_model` and
+    :meth:`~ContentBasedScorer.clear_text_model` replace it as a whole, so
+    a scoring call that reads it once never mixes two fits, and the
+    per-user similarity memo — derived state, never snapshotted — is keyed
+    on this fit's vectorizer simply by living inside it.
+    """
+
+    __slots__ = ("vectorizer", "vectors", "norms", "memo")
+
+    def __init__(self, vectorizer: TfIdfVectorizer, vectors: Dict[str, SparseVector]) -> None:
+        self.vectorizer = vectorizer
+        self.vectors = vectors
+        self.norms = {clip_id: sparse_norm(vector) for clip_id, vector in vectors.items()}
+        self.memo: Dict[str, _MemoEntry] = {}
 
 
 class ContentBasedScorer:
@@ -121,13 +150,12 @@ class ContentBasedScorer:
         self._similarity_weight = similarity_weight / total
         self._recency_weight = recency_weight / total
         self._recency_halflife_s = recency_halflife_s
-        self._vectorizer: Optional[TfIdfVectorizer] = None
-        self._clip_vectors: Dict[str, SparseVector] = {}
+        self._text_model: Optional[_TextModel] = None
 
     @property
     def has_text_model(self) -> bool:
         """Whether a fitted TF-IDF model is in use (snapshot metadata)."""
-        return self._vectorizer is not None
+        return self._text_model is not None
 
     def clear_text_model(self) -> None:
         """Drop the fitted TF-IDF model (similarity falls back to neutral).
@@ -136,14 +164,14 @@ class ContentBasedScorer:
         fitted one — keeping a stale model would score restored clips
         against vectors from the pre-restore catalogue.
         """
-        self._vectorizer = None
-        self._clip_vectors = {}
+        self._text_model = None
 
     def fit_text_model(self) -> None:
         """Fit the TF-IDF model over all clips that carry transcripts.
 
         Optional: when no transcripts exist the similarity term falls back to
         a neutral 0.5 and only the category profile and recency matter.
+        Each clip vector's norm is computed here, once per fit.
         """
         documents: List[str] = []
         clip_ids: List[str] = []
@@ -152,18 +180,19 @@ class ContentBasedScorer:
                 documents.append(clip.transcript)
                 clip_ids.append(clip.clip_id)
         if not documents:
-            self._vectorizer = None
-            self._clip_vectors = {}
+            self._text_model = None
             return
-        self._vectorizer = TfIdfVectorizer()
-        vectors = self._vectorizer.fit_transform(documents)
-        self._clip_vectors = dict(zip(clip_ids, vectors))
+        vectorizer = TfIdfVectorizer()
+        vectors = vectorizer.fit_transform(documents)
+        self._text_model = _TextModel(vectorizer, dict(zip(clip_ids, vectors)))
 
     def score(self, user_id: str, clip: AudioClip, *, now_s: float) -> float:
         """Content-based relevance of one clip for one user."""
         profile = self._users.preference_profile(user_id)
-        liked_vectors = self._liked_vectors(user_id)
-        return self._score_with(profile, liked_vectors, clip, now_s)
+        model = self._text_model
+        liked_vectors = self._liked_vectors(model, user_id)
+        similarity = self._similarity_to_liked(model, clip, liked_vectors)
+        return self._combine(profile, similarity, clip, now_s)
 
     def score_many(
         self, user_id: str, clips: Sequence[AudioClip], *, now_s: float
@@ -171,20 +200,25 @@ class ContentBasedScorer:
         """Scores for a batch of clips keyed by clip id.
 
         The preference profile and the liked-clip TF-IDF vectors are fetched
-        once for the whole batch instead of once per clip.
+        once for the whole batch.  Each fitted clip's best similarity to
+        the liked set uses norms computed at fit time and is memoized per
+        user: the next batch scored against the same liked ids reuses it
+        for every clip object it scored last time (a replaced clip is a new
+        object, so it misses).  The memo is rebuilt from every batch, so it
+        holds at most one batch per user.  Scores are bit-identical to
+        :meth:`score`.
         """
         profile = self._users.preference_profile(user_id)
-        liked_vectors = self._liked_vectors(user_id)
+        similarities = self._similarities(user_id, clips)
         return {
-            clip.clip_id: self._score_with(profile, liked_vectors, clip, now_s)
-            for clip in clips
+            clip.clip_id: self._combine(profile, similarity, clip, now_s)
+            for clip, similarity in zip(clips, similarities)
         }
 
     # Internal ----------------------------------------------------------------
 
-    def _score_with(self, profile, liked_vectors, clip: AudioClip, now_s: float) -> float:
+    def _combine(self, profile, similarity_term: float, clip: AudioClip, now_s: float) -> float:
         profile_term = profile.affinity(clip.category_scores)
-        similarity_term = self._similarity_to_liked(clip, liked_vectors)
         recency_term = self._recency(clip, now_s)
         return (
             self._profile_weight * profile_term
@@ -192,22 +226,53 @@ class ContentBasedScorer:
             + self._recency_weight * recency_term
         )
 
-    def _liked_vectors(self, user_id: str) -> List[SparseVector]:
-        if self._vectorizer is None:
-            return []
+    def _liked_ids(self, model: _TextModel, user_id: str) -> Tuple[str, ...]:
         liked_ids = self._users.feedback.positive_content_ids(user_id)
-        return [
-            self._clip_vectors[content_id]
-            for content_id in liked_ids[-20:]
-            if content_id in self._clip_vectors
-        ]
+        return tuple(
+            content_id for content_id in liked_ids[-_LIKED_WINDOW:] if content_id in model.vectors
+        )
 
-    def _similarity_to_liked(self, clip: AudioClip, liked_vectors: List[SparseVector]) -> float:
-        if self._vectorizer is None:
+    def _liked_vectors(self, model: Optional[_TextModel], user_id: str) -> List[SparseVector]:
+        if model is None:
+            return []
+        return [model.vectors[content_id] for content_id in self._liked_ids(model, user_id)]
+
+    def _similarities(self, user_id: str, clips: Sequence[AudioClip]) -> List[float]:
+        """Best similarity to the user's liked set, per clip, in ``clips`` order."""
+        model = self._text_model
+        if model is None:
+            return [0.5] * len(clips)
+        liked_ids = self._liked_ids(model, user_id)
+        liked = [(model.vectors[content_id], model.norms[content_id]) for content_id in liked_ids]
+        liked_vectors = [vector for vector, _norm in liked]
+        memo = model.memo.get(user_id)
+        previous = memo[1] if memo is not None and memo[0] == liked_ids else {}
+        entries: Dict[str, Tuple[AudioClip, float]] = {}
+        similarities: List[float] = []
+        for clip in clips:
+            clip_id = clip.clip_id
+            vector = model.vectors.get(clip_id)
+            if vector is None:
+                # Not in the fit: the reference path vectorizes its transcript.
+                similarities.append(self._similarity_to_liked(model, clip, liked_vectors))
+                continue
+            entry = previous.get(clip_id)
+            if entry is None or entry[0] is not clip:
+                entry = (clip, _best_similarity(vector, model.norms[clip_id], liked))
+            entries[clip_id] = entry
+            similarities.append(entry[1])
+        model.memo[user_id] = (liked_ids, entries)
+        return similarities
+
+    def _similarity_to_liked(
+        self, model: Optional[_TextModel], clip: AudioClip, liked_vectors: List[SparseVector]
+    ) -> float:
+        """The reference similarity term: best ``cosine_similarity`` to a like."""
+        if model is None:
             return 0.5
-        clip_vector = self._clip_vectors.get(clip.clip_id)
+        clip_vector = model.vectors.get(clip.clip_id)
         if clip_vector is None and clip.transcript:
-            clip_vector = self._vectorizer.transform(clip.transcript)
+            clip_vector = model.vectorizer.transform(clip.transcript)
         if not clip_vector:
             return 0.5
         if not liked_vectors:
@@ -220,3 +285,17 @@ class ContentBasedScorer:
         if self._recency_halflife_s <= 0:
             return 1.0
         return 0.5 ** (age_s / self._recency_halflife_s)
+
+
+def _best_similarity(
+    vector: SparseVector, norm: float, liked: List[Tuple[SparseVector, float]]
+) -> float:
+    """:meth:`ContentBasedScorer._similarity_to_liked` for a fitted vector.
+
+    The same comparisons with every norm precomputed, so the same bits.
+    """
+    if not vector or not liked:
+        return 0.5
+    return max(
+        cosine_similarity_normed(vector, norm, other, other_norm) for other, other_norm in liked
+    )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.content.geo_relevance import RouteRelevanceScorer
 from repro.content.model import AudioClip, ContentKind
@@ -76,22 +76,25 @@ class ContextScorer:
         self._geo_index = geo_index
         # One-slot cache: ranking a batch scores every clip against the same
         # (immutable) context, so the route is sampled and trig-converted once.
-        self._route_cache_ref: Optional[Callable[[], Optional[ListenerContext]]] = None
-        self._route_cache_scorer: Optional[RouteRelevanceScorer] = None
+        # The (context ref, scorer) pair is one attribute, stored and read in
+        # one step, so threads missing at once can never pair one context's
+        # ref with another context's scorer.
+        self._route_cache: Optional[
+            Tuple[Callable[[], Optional[ListenerContext]], RouteRelevanceScorer]
+        ] = None
 
     def route_scorer_for(self, context: ListenerContext) -> RouteRelevanceScorer:
         """The batched geographic scorer for ``context`` (cached per context)."""
-        if self._route_cache_ref is not None and self._route_cache_ref() is context:
-            assert self._route_cache_scorer is not None
-            return self._route_cache_scorer
+        cached = self._route_cache
+        if cached is not None and cached[0]() is context:
+            return cached[1]
         destination = context.destination.center if context.destination is not None else None
         scorer = RouteRelevanceScorer(
             current_position=context.position,
             route=context.route,
             destination=destination,
         )
-        self._route_cache_ref = weakref.ref(context)
-        self._route_cache_scorer = scorer
+        self._route_cache = (weakref.ref(context), scorer)
         return scorer
 
     def score(self, clip: AudioClip, context: ListenerContext) -> float:

@@ -285,11 +285,27 @@ class SortedIndex:
             pks.reverse()
         return pks
 
-    def iter_pks(self, *, descending: bool = False) -> Iterator[Any]:
-        """Walk every indexed primary key in key order."""
-        entries = reversed(self._entries) if descending else iter(self._entries)
-        for _key, _seq, pk in entries:
-            yield pk
+    def iter_pks(
+        self,
+        low: Any = None,
+        high: Any = None,
+        *,
+        low_inclusive: bool = True,
+        high_inclusive: bool = False,
+        descending: bool = False,
+    ) -> Iterator[Any]:
+        """Lazily walk the primary keys in the bound range (all by default).
+
+        The bounds are bisected once and entries are then visited one at a
+        time in walk order, so a caller that stops after ``k`` keys pays
+        O(log n + k) however wide the range is.
+        """
+        lo = self._lower_position(low, low_inclusive)
+        hi = self._upper_position(high, high_inclusive)
+        entries = self._entries
+        positions = range(hi - 1, lo - 1, -1) if descending else range(lo, hi)
+        for position in positions:
+            yield entries[position][2]
 
     def min_key(self) -> Optional[Tuple[Any, ...]]:
         """Smallest key present (None when empty)."""

@@ -547,6 +547,31 @@ class Table:
         )
         return [dict(self._rows[key]) for key in pks]
 
+    def iter_range_keys(
+        self,
+        index_name: str,
+        low: Any = None,
+        high: Any = None,
+        *,
+        low_inclusive: bool = True,
+        high_inclusive: bool = False,
+        descending: bool = False,
+    ) -> Iterator[Any]:
+        """Lazily walk the primary keys of a sorted-index range, in walk order.
+
+        No row is copied: callers that keep their own objects by primary
+        key pay only for the keys they consume and may stop early.
+        """
+        index = self.sorted_index(index_name)
+        self._stats["index_hits"] += 1
+        return index.iter_pks(
+            low,
+            high,
+            low_inclusive=low_inclusive,
+            high_inclusive=high_inclusive,
+            descending=descending,
+        )
+
     def rows_in_index_order(self, index_name: str, *, descending: bool = False) -> Iterator[Row]:
         """Walk all rows in sorted-index order."""
         index = self.sorted_index(index_name)

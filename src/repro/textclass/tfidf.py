@@ -140,9 +140,11 @@ class TfIdfVectorizer:
 def cosine_similarity(a: SparseVector, b: SparseVector) -> float:
     """Cosine similarity of two sparse vectors (0 if either is empty).
 
-    Vectors produced by :class:`TfIdfVectorizer` are already normalized, so
-    this reduces to a sparse dot product, but un-normalized inputs are also
-    handled correctly.
+    The reference implementation: a sparse dot product over the smaller
+    vector, divided by both norms, which are recomputed on every call —
+    even for :class:`TfIdfVectorizer` output, whose norms are already ~1.
+    Callers comparing the same vectors many times precompute the norms
+    with :func:`sparse_norm` and call :func:`cosine_similarity_normed`.
     """
     if not a or not b:
         return 0.0
@@ -151,6 +153,30 @@ def cosine_similarity(a: SparseVector, b: SparseVector) -> float:
     dot = sum(value * b.get(index, 0.0) for index, value in a.items())
     norm_a = math.sqrt(sum(value * value for value in a.values()))
     norm_b = math.sqrt(sum(value * value for value in b.values()))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return dot / (norm_a * norm_b)
+
+
+def sparse_norm(vector: SparseVector) -> float:
+    """Euclidean norm of a sparse vector, by :func:`cosine_similarity`'s expression."""
+    return math.sqrt(sum(value * value for value in vector.values()))
+
+
+def cosine_similarity_normed(
+    a: SparseVector, norm_a: float, b: SparseVector, norm_b: float
+) -> float:
+    """:func:`cosine_similarity` given both vectors' :func:`sparse_norm`.
+
+    The same dot product — over the smaller vector (``a`` on ties), in its
+    iteration order — and the same division, so the result has the same
+    bits; only the two norm sums are skipped.
+    """
+    if not a or not b:
+        return 0.0
+    if len(b) < len(a):
+        a, b = b, a
+    dot = sum(value * b.get(index, 0.0) for index, value in a.items())
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     return dot / (norm_a * norm_b)
