@@ -41,7 +41,7 @@ from repro.spatialdb import SpatialQueryEngine
 from repro.storage.sharding import ShardingConfig, ShardWorkerPool
 from repro.storage.wal import DurabilityConfig, DurabilityManager
 from repro.streaming.compactor import CompactionConfig, ShardedCompactor
-from repro.streaming.engine import StreamingConfig
+from repro.streaming.engine import STREAMING_STATE_VERSION, StreamingConfig
 from repro.streaming.incremental import IncrementalConfig
 from repro.streaming.sharded import ShardedStreamingEngine
 from repro.textclass import NaiveBayesClassifier
@@ -106,6 +106,17 @@ class _UserMobilityModel:
     def __post_init__(self) -> None:
         if self.cluster_index is None:
             self.cluster_index = RouteClusterIndex(self.clusters)
+
+
+def _empty_streaming_state() -> Dict:
+    """The streaming payload a snapshot without streaming state restores."""
+    return {
+        "version": STREAMING_STATE_VERSION,
+        "fixes_observed": 0,
+        "observed_per_user": {},
+        "sessionizer": {"users": {}},
+        "model": {"users": {}},
+    }
 
 
 class PphcrServer:
@@ -706,13 +717,7 @@ class PphcrServer:
                     # Snapshot from a streaming-disabled server: start clean.
                     # The engine object itself is kept — it is wired into the
                     # user manager's fix-listener list by reference.
-                    streaming_state = {
-                        "version": 1,
-                        "fixes_observed": 0,
-                        "observed_per_user": {},
-                        "sessionizer": {"users": {}},
-                        "model": {"users": {}},
-                    }
+                    streaming_state = _empty_streaming_state()
                 self._streaming.restore_state(streaming_state)
             self._editorial.restore(payload.get("editorial", []))
             self._maintenance_shard = payload.get("maintenance_shard", 0)
@@ -793,13 +798,7 @@ class PphcrServer:
             streaming_state = payload.get("streaming")
             if self._streaming is not None:
                 if streaming_state is None:
-                    streaming_state = {
-                        "version": 1,
-                        "fixes_observed": 0,
-                        "observed_per_user": {},
-                        "sessionizer": {"users": {}},
-                        "model": {"users": {}},
-                    }
+                    streaming_state = _empty_streaming_state()
                 self._streaming.restore_shard(shard, streaming_state)
             self._mobility_models = {}
             self._streaming_served = {}

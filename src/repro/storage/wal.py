@@ -58,8 +58,17 @@ dropped — never a crash, never a partially applied commit.
 
 Compaction: once any log exceeds ``DurabilityConfig.compact_min_bytes``
 (checked from ``PphcrServer.maintenance_tick``), the manager writes a
-whole-server checkpoint (snapshot + LSN watermark) and rewrites every log
-keeping only frames past the watermark — "snapshot + empty tail".
+whole-server checkpoint (snapshot + LSN watermark, gzip level 1) and
+rewrites every log keeping only frames past the watermark — "snapshot +
+empty tail".  Each log writer tracks the highest LSN its file holds, so a
+log entirely at or below the watermark is truncated without being read
+back; only a log an append reached after the watermark was taken is
+scanned and filtered.  The checkpoint's cost is dominated by encoding the
+snapshot, whose streaming part carries each retained trip as text encoded
+once per trip (see :meth:`IncrementalMobilityModel.snapshot_state
+<repro.streaming.incremental.IncrementalMobilityModel.snapshot_state>`).
+With ``fsync`` on, the checkpoint file, the WAL directory and each
+rewritten log are fsynced, in that order.
 """
 
 from __future__ import annotations
@@ -73,7 +82,7 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
 from repro.storage.database import Database, payload_from_bytes, payload_to_bytes
@@ -217,6 +226,14 @@ def salvage_file(path: Path, *, truncate: bool = True) -> Dict[str, Any]:
         "bytes_dropped": dropped,
         "reason": reason,
     }
+
+
+def _fsync_directory(directory: Path) -> None:
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def log_paths(directory: Path) -> List[Path]:
@@ -415,13 +432,16 @@ class DurabilityConfig:
 
 
 class _LogWriter:
-    """One append-only log file: lazy handle, size/frame counters, a lock."""
+    """One append-only log file: lazy handle, size/frame/LSN counters, a lock."""
 
-    def __init__(self, path: Path) -> None:
+    def __init__(self, path: Path, *, commits: Sequence[Dict[str, Any]] = ()) -> None:
         self.path = path
         self.lock = threading.Lock()
         self.size = path.stat().st_size if path.exists() else 0
-        self.frames = 0
+        self.frames = len(commits)
+        #: Highest LSN the file holds (0 when empty).  Compaction truncates
+        #: a log at or below its watermark without reading the file back.
+        self.last_lsn = max((commit["lsn"] for commit in commits), default=0)
         self._handle = None
 
     def handle(self):
@@ -429,7 +449,7 @@ class _LogWriter:
             self._handle = open(self.path, "ab")
         return self._handle
 
-    def append(self, frame: bytes, *, fsync: bool) -> None:
+    def append(self, frame: bytes, lsn: int, *, fsync: bool) -> None:
         handle = self.handle()
         handle.write(frame)
         handle.flush()
@@ -437,13 +457,26 @@ class _LogWriter:
             os.fsync(handle.fileno())
         self.size += len(frame)
         self.frames += 1
+        self.last_lsn = max(self.last_lsn, lsn)
 
-    def reset(self) -> None:
-        """Drop the open handle after an out-of-band rewrite (compaction)."""
+    def rewrite(self, commits: List[Dict[str, Any]], *, fsync: bool) -> None:
+        """Replace the file's frames with ``commits`` (compaction)."""
+        self.close()
+        frames = [encode_frame(commit) for commit in commits]
+        with open(self.path, "wb") as handle:
+            handle.writelines(frames)
+            if fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
+        self.size = sum(len(frame) for frame in frames)
+        self.frames = len(commits)
+        self.last_lsn = max((commit["lsn"] for commit in commits), default=0)
+
+    def close(self) -> None:
+        """Close the append handle; the next append reopens it."""
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-        self.size = self.path.stat().st_size if self.path.exists() else 0
 
 
 class DurabilityManager:
@@ -513,10 +546,8 @@ class DurabilityManager:
             report = salvage_file(path, truncate=True)
             self.recovery_report.append(report)
             commits, _good, _reason = scan_frames(path.read_bytes())
-            if commits:
-                last_lsn = max(last_lsn, commits[-1]["lsn"])
-            writer = _LogWriter(path)
-            writer.frames = len(commits)
+            writer = _LogWriter(path, commits=commits)
+            last_lsn = max(last_lsn, writer.last_lsn)
             self._writers[path.stem] = writer
         checkpoint = load_checkpoint(self._directory)
         if checkpoint is not None:
@@ -711,7 +742,7 @@ class DurabilityManager:
         writer = self._writer(key)
         with writer.lock:
             t0 = time.perf_counter()
-            writer.append(frame, fsync=self._config.fsync)
+            writer.append(frame, lsn, fsync=self._config.fsync)
             elapsed = time.perf_counter() - t0
         if self._appends is not None:
             self._appends.labels(shard=key).inc()
@@ -725,6 +756,15 @@ class DurabilityManager:
             with writer.lock:
                 if writer._handle is not None:
                     writer._handle.flush()
+
+    def close(self) -> None:
+        """Close every open log handle.
+
+        Idempotent, and not terminal: a later append reopens its log.
+        """
+        for writer in list(self._writers.values()):
+            with writer.lock:
+                writer.close()
 
     # Recovery / replay ----------------------------------------------------
 
@@ -763,7 +803,12 @@ class DurabilityManager:
         Called from ``PphcrServer.maintenance_tick``: when any log's size
         reaches ``compact_min_bytes`` (or ``force``), write a whole-server
         checkpoint at the current LSN, then rewrite every log keeping only
-        frames *past* the watermark (normally none — an empty tail).
+        frames *past* the watermark (normally none — an empty tail).  A log
+        whose highest LSN is at or below the watermark is truncated without
+        being read back; only a log an append reached after the watermark
+        was taken is scanned and filtered.  With ``fsync`` on, the
+        checkpoint, its directory entry and every rewritten log are synced
+        before the log's lock is released.
         Recovery and replicas prefer the checkpoint and replay the tails.
         """
         if self.suspended:
@@ -780,24 +825,28 @@ class DurabilityManager:
             "lsn": watermark,
             "snapshot": server.snapshot(),
         }
+        fsync = self._config.fsync
         target = self._directory / CHECKPOINT_NAME
         scratch = target.with_suffix(".tmp")
-        scratch.write_bytes(payload_to_bytes(payload, compress=True))
+        with open(scratch, "wb") as handle:
+            handle.write(payload_to_bytes(payload, compress=True))
+            if fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
         os.replace(scratch, target)
+        if fsync:
+            # The rename is only durable once the directory entry is.
+            _fsync_directory(self._directory)
         reclaimed = 0
         for writer in list(self._writers.values()):
             with writer.lock:
-                commits, good, _reason = scan_frames(writer.path.read_bytes())
-                kept = [c for c in commits if c["lsn"] > watermark]
                 before = writer.size
-                if writer._handle is not None:
-                    writer._handle.close()
-                    writer._handle = None
-                with open(writer.path, "wb") as handle:
-                    for commit in kept:
-                        handle.write(encode_frame(commit))
-                writer.reset()
-                writer.frames = len(kept)
+                kept: List[Dict[str, Any]] = []
+                if writer.last_lsn > watermark:
+                    # An append raced the checkpoint: keep what it wrote.
+                    commits, _good, _reason = scan_frames(writer.path.read_bytes())
+                    kept = [c for c in commits if c["lsn"] > watermark]
+                writer.rewrite(kept, fsync=fsync)
                 reclaimed += before - writer.size
         if self._compactions is not None:
             self._compactions.inc()

@@ -32,6 +32,10 @@ from repro.trajectory.model import Trajectory
 if TYPE_CHECKING:  # imported lazily to keep streaming importable on its own
     from repro.pipeline.messaging import MessageBus
 
+#: Version stamp of :meth:`StreamingMobilityEngine.snapshot_state` payloads.
+#: Version 2 carries each retained trip as the JSON text of its point list.
+STREAMING_STATE_VERSION = 2
+
 
 @dataclass(frozen=True)
 class StreamingConfig:
@@ -217,7 +221,7 @@ class StreamingMobilityEngine:
         restart-persistence path for streaming deployments.
         """
         return {
-            "version": 1,
+            "version": STREAMING_STATE_VERSION,
             "fixes_observed": self._fixes_observed,
             "observed_per_user": dict(self._observed_per_user),
             "sessionizer": self._sessionizer.snapshot_state(),
@@ -226,7 +230,7 @@ class StreamingMobilityEngine:
 
     def restore_state(self, payload: dict) -> None:
         """Reload a :meth:`snapshot_state` payload, replacing engine state."""
-        if not isinstance(payload, dict) or payload.get("version") != 1:
+        if not isinstance(payload, dict) or payload.get("version") != STREAMING_STATE_VERSION:
             raise ValidationError("unsupported streaming engine snapshot payload")
         self._sessionizer.restore_state(payload["sessionizer"])
         self._model.restore_state(payload["model"])

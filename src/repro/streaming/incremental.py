@@ -25,10 +25,17 @@ dirty-trip counter and an epoch: once ``repair_every`` trips accumulate, a
 (never the raw fixes) and resets the drift.  A repaired model is exactly
 what ``rebuild_mobility_model`` would produce on the same trips, which the
 equivalence tests assert.
+
+Snapshots carry each retained trip as the canonical JSON text of its point
+list.  Trips never change once folded in, so the text is encoded the first
+time a snapshot needs it and kept, keyed by trip identity, for as long as
+the trip is retained — a checkpoint re-encodes only the trips that arrived
+since the last one.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -163,6 +170,10 @@ class _UserModelState:
     next_cluster_id: int = 0
     dirty_trips: int = 0
     epoch: int = 0
+    #: Retained trip → its snapshot text (see :func:`_trip_text`).  Derived
+    #: state: filled by snapshots, seeded by restores, trimmed with ``trips``,
+    #: never snapshotted or compared.
+    trip_texts: Dict[Trajectory, str] = field(default_factory=dict)
 
 
 class IncrementalMobilityModel:
@@ -400,6 +411,11 @@ class IncrementalMobilityModel:
             # behaviour; oldest trips age out here, bounding state and
             # repair cost for long-running deployments.
             state.trips = state.trips[-self._config.max_trips_per_user :]
+            state.trip_texts = {
+                trip: state.trip_texts[trip]
+                for trip in state.trips
+                if trip in state.trip_texts
+            }
         stay_points, clusters = self._mine(state.trips)
         self._install(state, state.trips, stay_points, clusters)
         state.dirty_trips = 0
@@ -553,19 +569,14 @@ class IncrementalMobilityModel:
         observations with their owning trips, cluster membership as trip
         indices, grid cell sizes, and the dirty/epoch counters — so a
         restored model answers every query identically *and* keeps evolving
-        identically as further trips fold in.
+        identically as further trips fold in.  Each trip is one string, the
+        canonical JSON of its point list, encoded once per retained trip.
         """
         users: Dict[str, object] = {}
         for user_id, state in self._states.items():
             trip_positions = {id(trip): index for index, trip in enumerate(state.trips)}
             users[user_id] = {
-                "trips": [
-                    [
-                        [p.timestamp_s, p.position.lat, p.position.lon, p.speed_mps]
-                        for p in trip.points
-                    ]
-                    for trip in state.trips
-                ],
+                "trips": [_trip_text(state, trip) for trip in state.trips],
                 "stay_points": [
                     [
                         live.stay_point_id,
@@ -617,18 +628,14 @@ class IncrementalMobilityModel:
         states: Dict[str, _UserModelState] = {}
         for user_id, raw in payload["users"].items():
             state = _UserModelState()
-            state.trips = [
-                Trajectory(
-                    user_id,
-                    [
-                        # Rebuilt in stored order, so grid iteration and
-                        # cluster membership match the captured model.
-                        _trajectory_point(point)
-                        for point in points
-                    ],
+            for text in raw["trips"]:
+                # Rebuilt in stored order, so grid iteration and cluster
+                # membership match the captured model.
+                trip = Trajectory(
+                    user_id, [_trajectory_point(point) for point in json.loads(text)]
                 )
-                for points in raw["trips"]
-            ]
+                state.trips.append(trip)
+                state.trip_texts[trip] = text
             state.sp_index = GridIndex(raw["sp_cell_m"])
             for sp_id, lat_sum, lon_sum, support, dwell_s, label, center_lat, center_lon in raw[
                 "stay_points"
@@ -670,6 +677,22 @@ class IncrementalMobilityModel:
             state.epoch = raw["epoch"]
             states[user_id] = state
         self._states = states
+
+
+def _trip_text(state: _UserModelState, trip: Trajectory) -> str:
+    """A retained trip's snapshot text, encoded on first use and then kept.
+
+    The text is the canonical JSON of the point list,
+    ``[[t, lat, lon, speed], ...]``.
+    """
+    text = state.trip_texts.get(trip)
+    if text is None:
+        text = json.dumps(
+            [[p.timestamp_s, p.position.lat, p.position.lon, p.speed_mps] for p in trip.points],
+            separators=(",", ":"),
+        )
+        state.trip_texts[trip] = text
+    return text
 
 
 def _trajectory_point(raw) -> "TrajectoryPoint":

@@ -23,7 +23,11 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from repro.errors import PipelineError, ValidationError
 from repro.spatialdb.tracking_store import GpsFix
 from repro.storage.sharding import shard_of
-from repro.streaming.engine import StreamingConfig, StreamingMobilityEngine
+from repro.streaming.engine import (
+    STREAMING_STATE_VERSION,
+    StreamingConfig,
+    StreamingMobilityEngine,
+)
 from repro.streaming.incremental import MobilitySnapshot
 from repro.trajectory.model import Trajectory
 
@@ -183,7 +187,7 @@ class ShardedStreamingEngine:
             sessionizer_users.update(state["sessionizer"]["users"])
             model_users.update(state["model"]["users"])
         return {
-            "version": 1,
+            "version": STREAMING_STATE_VERSION,
             "fixes_observed": self.fixes_observed,
             "observed_per_user": observed,
             "sessionizer": {"users": sessionizer_users},
@@ -197,7 +201,7 @@ class ShardedStreamingEngine:
         user, so each shard's ``fixes_observed`` is recoverable as the sum
         of its users' counters — the split loses nothing.
         """
-        if not isinstance(payload, dict) or payload.get("version") != 1:
+        if not isinstance(payload, dict) or payload.get("version") != STREAMING_STATE_VERSION:
             raise ValidationError("unsupported streaming engine snapshot payload")
         observed = payload["observed_per_user"]
         sessionizer_users = payload["sessionizer"]["users"]
@@ -210,7 +214,7 @@ class ShardedStreamingEngine:
             }
             engine.restore_state(
                 {
-                    "version": 1,
+                    "version": STREAMING_STATE_VERSION,
                     "fixes_observed": sum(shard_observed.values()),
                     "observed_per_user": shard_observed,
                     "sessionizer": {
@@ -240,7 +244,7 @@ class ShardedStreamingEngine:
         Every user in the payload must route to ``shard`` under this
         façade's layout.
         """
-        if not isinstance(payload, dict) or payload.get("version") != 1:
+        if not isinstance(payload, dict) or payload.get("version") != STREAMING_STATE_VERSION:
             raise ValidationError("unsupported streaming engine snapshot payload")
         for user_id in payload.get("observed_per_user", {}):
             if self.shard_of(user_id) != shard:

@@ -25,7 +25,9 @@ class Trajectory:
     """A time-ordered sequence of position samples for one user.
 
     Unlike a :class:`~repro.geo.polyline.Polyline`, a trajectory carries
-    time, so speed profiles and stop detection are meaningful.
+    time, so speed profiles and stop detection are meaningful.  It is
+    immutable (``points`` hands out a copy), so derived values such as
+    :attr:`length_m` are computed once and kept.
     """
 
     def __init__(self, user_id: str, points: Sequence[TrajectoryPoint]) -> None:
@@ -36,6 +38,7 @@ class Trajectory:
                 raise TrajectoryError("trajectory points must be time-ordered")
         self._user_id = user_id
         self._points: List[TrajectoryPoint] = list(points)
+        self._length_m: Optional[float] = None
 
     @classmethod
     def from_fixes(cls, user_id: str, fixes: Iterable[GpsFix]) -> "Trajectory":
@@ -88,11 +91,17 @@ class Trajectory:
 
     @property
     def length_m(self) -> float:
-        """Path length over all samples."""
-        total = 0.0
-        for earlier, later in zip(self._points, self._points[1:]):
-            total += haversine_m(earlier.position, later.position)
-        return total
+        """Path length over all samples (summed on first read, then kept).
+
+        Route clusters read every member's length on each context build,
+        so re-summing the haversines per read dominated that path.
+        """
+        if self._length_m is None:
+            total = 0.0
+            for earlier, later in zip(self._points, self._points[1:]):
+                total += haversine_m(earlier.position, later.position)
+            self._length_m = total
+        return self._length_m
 
     @property
     def mean_speed_mps(self) -> float:

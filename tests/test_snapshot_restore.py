@@ -42,6 +42,21 @@ def warmed_world():
     )
 
 
+@pytest.fixture
+def durable_server():
+    """Builds durable servers; their WAL handles are closed at teardown."""
+    opened = []
+
+    def build(city, config):
+        server = PphcrServer(city=city, config=config)
+        opened.append(server)
+        return server
+
+    yield build
+    for server in opened:
+        server.durability.close()
+
+
 def restored_copy(world):
     """A fresh server (same config) loaded from the world's snapshot."""
     payload = json.loads(json.dumps(world.server.snapshot()))
@@ -225,7 +240,7 @@ class TestServerRoundTrip:
         ]
 
     def test_crash_mid_drive_wal_tail_replay_needs_no_client_reupload(
-        self, warmed_world, tmp_path
+        self, warmed_world, tmp_path, durable_server
     ):
         """With the WAL on, recovery is snapshot + log tail: the window
         between the last snapshot and the crash comes back from the log,
@@ -242,7 +257,7 @@ class TestServerRoundTrip:
             durability=DurabilityConfig(enabled=True, directory=str(tmp_path / "wal")),
         )
         reference = restored_copy(world)
-        doomed = PphcrServer(city=world.city, config=durable_config)
+        doomed = durable_server(world.city, durable_config)
         doomed.restore_snapshot(json.loads(json.dumps(world.server.snapshot())))
         commuter = world.commuters[3]
         drive = world.commuter_generator.live_drive(commuter, day=world.today)
@@ -264,7 +279,7 @@ class TestServerRoundTrip:
         )
         del doomed  # the crash: in-memory state gone, the log survives
 
-        survivor = PphcrServer(city=world.city, config=durable_config)
+        survivor = durable_server(world.city, durable_config)
         survivor.restore_snapshot(durable, replay_log=True)
         # The logged window is already back — NO re-upload of
         # fixes[snapshot_point:crash_point].  The device only resends

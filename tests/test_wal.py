@@ -11,9 +11,11 @@ serves byte-identical cacheable reads.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +64,37 @@ def durable_world(directory):
             server=config,
         )
     )
+
+
+class DurableServers:
+    """Opens durable worlds and servers on one WAL directory, then closes them."""
+
+    def __init__(self, directory) -> None:
+        self.directory = directory
+        self._servers = []
+
+    def world(self):
+        world = durable_world(self.directory)
+        self._servers.append(world.server)
+        return world
+
+    def recover(self, world):
+        """A fresh server on the world's WAL directory, as a restart builds."""
+        server = PphcrServer(city=world.city, config=world.server.config)
+        self._servers.append(server)
+        return server
+
+    def close(self) -> None:
+        for server in self._servers:
+            server.durability.close()
+
+
+@pytest.fixture
+def wal(tmp_path):
+    """Durable worlds and servers on ``tmp_path / "wal"``, closed at teardown."""
+    servers = DurableServers(tmp_path / "wal")
+    yield servers
+    servers.close()
 
 
 def fingerprint(world_or_server, user_ids):
@@ -298,17 +331,17 @@ class TestTableChangeReplay:
 
 
 class TestServerRecovery:
-    def test_replay_from_birth_reconstructs_everything(self, tmp_path):
-        world = durable_world(tmp_path / "wal")
+    def test_replay_from_birth_reconstructs_everything(self, wal):
+        world = wal.world()
         user_ids = sorted(world.server.users.user_ids())
         live = fingerprint(world, user_ids)
-        survivor = PphcrServer(city=world.city, config=world.server.config)
+        survivor = wal.recover(world)
         report = survivor.durability.replay_into(survivor, after_lsn=0)
         assert report["frames_replayed"] > 0
         assert fingerprint(survivor, user_ids) == live
 
-    def test_snapshot_plus_tail_recovers_past_the_snapshot(self, tmp_path):
-        world = durable_world(tmp_path / "wal")
+    def test_snapshot_plus_tail_recovers_past_the_snapshot(self, wal):
+        world = wal.world()
         user_ids = sorted(world.server.users.user_ids())
         durable = json.loads(json.dumps(world.server.snapshot()))
         assert "wal_lsn" in durable
@@ -317,12 +350,12 @@ class TestServerRecovery:
         world.server.users.ingest_fixes(list(drive.fixes())[:25], skip_stale=True)
         live = fingerprint(world, user_ids)
 
-        survivor = PphcrServer(city=world.city, config=world.server.config)
+        survivor = wal.recover(world)
         survivor.restore_snapshot(durable, replay_log=True)
         assert fingerprint(survivor, user_ids) == live
 
-    def test_replay_log_requires_durability_and_watermark(self, tmp_path):
-        world = durable_world(tmp_path / "wal")
+    def test_replay_log_requires_durability_and_watermark(self, wal):
+        world = wal.world()
         durable = world.server.snapshot()
         plain = PphcrServer(
             city=world.city,
@@ -335,8 +368,8 @@ class TestServerRecovery:
         with pytest.raises(PipelineError):
             world.server.restore_snapshot(undurable, replay_log=True)
 
-    def test_torn_tail_recovers_to_last_complete_commit(self, tmp_path):
-        world = durable_world(tmp_path / "wal")
+    def test_torn_tail_recovers_to_last_complete_commit(self, wal):
+        world = wal.world()
         user_ids = sorted(world.server.users.user_ids())
         live = fingerprint(world, user_ids)
         world.server.durability.flush()
@@ -347,7 +380,7 @@ class TestServerRecovery:
         )
         with open(victim, "ab") as handle:
             handle.write(b"\x00\x00\x01\x00\xba\xad half-written")
-        survivor = PphcrServer(city=world.city, config=world.server.config)
+        survivor = wal.recover(world)
         torn = [
             report
             for report in survivor.durability.recovery_report
@@ -358,8 +391,8 @@ class TestServerRecovery:
         assert report["last_lsn"] == world.server.durability.last_lsn
         assert fingerprint(survivor, user_ids) == live
 
-    def test_restored_server_does_not_relog_restored_writes(self, tmp_path):
-        world = durable_world(tmp_path / "wal")
+    def test_restored_server_does_not_relog_restored_writes(self, wal):
+        world = wal.world()
         lsn_before = world.server.durability.last_lsn
         world.server.restore_snapshot(json.loads(json.dumps(world.server.snapshot())))
         assert world.server.durability.last_lsn == lsn_before
@@ -370,19 +403,19 @@ class TestClassifierDurability:
     WAL (a ``server``/``train_classifier`` record) and the snapshot, so a
     recovered process classifies exactly as the one that crashed."""
 
-    def test_training_replays_from_the_log(self, tmp_path):
-        world = durable_world(tmp_path / "wal")
+    def test_training_replays_from_the_log(self, wal):
+        world = wal.world()
         probe = "notizie traffico citta"
         expected = world.server._classifier.predict_proba(probe)
-        survivor = PphcrServer(city=world.city, config=world.server.config)
+        survivor = wal.recover(world)
         assert survivor._classifier is None
         survivor.durability.replay_into(survivor, after_lsn=0)
         assert survivor._classifier is not None
         assert survivor._classifier.is_trained
         assert survivor._classifier.predict_proba(probe) == expected
 
-    def test_corpus_rides_the_snapshot(self, tmp_path):
-        world = durable_world(tmp_path / "wal")
+    def test_corpus_rides_the_snapshot(self, wal):
+        world = wal.world()
         durable = json.loads(json.dumps(world.server.snapshot()))
         assert durable["classifier_corpus"] is not None
         probe = "notizie traffico citta"
@@ -397,8 +430,8 @@ class TestClassifierDurability:
         assert plain._classifier is not None
         assert plain._classifier.predict_proba(probe) == expected
 
-    def test_retraining_past_the_snapshot_recovers_via_tail(self, tmp_path):
-        world = durable_world(tmp_path / "wal")
+    def test_retraining_past_the_snapshot_recovers_via_tail(self, wal):
+        world = wal.world()
         durable = json.loads(json.dumps(world.server.snapshot()))
         world.server.train_classifier(
             ["partita pallone campionato", "meteo pioggia vento"],
@@ -406,14 +439,14 @@ class TestClassifierDurability:
         )
         probe = "partita pallone"
         expected = world.server._classifier.predict_proba(probe)
-        survivor = PphcrServer(city=world.city, config=world.server.config)
+        survivor = wal.recover(world)
         survivor.restore_snapshot(durable, replay_log=True)
         assert survivor._classifier.predict_proba(probe) == expected
 
 
 class TestCompaction:
-    def test_maintenance_tick_compacts_over_budget(self, tmp_path):
-        world = durable_world(tmp_path / "wal")
+    def test_maintenance_tick_compacts_over_budget(self, wal):
+        world = wal.world()
         server = world.server
         # Shrink the budget so the accumulated build traffic is over it.
         server.durability._config = replace(
@@ -427,8 +460,8 @@ class TestCompaction:
         # Under budget now — the next tick does not compact again.
         assert server.maintenance_tick()["wal_compacted"] == 0
 
-    def test_recovery_prefers_checkpoint_plus_tail(self, tmp_path):
-        world = durable_world(tmp_path / "wal")
+    def test_recovery_prefers_checkpoint_plus_tail(self, wal):
+        world = wal.world()
         user_ids = sorted(world.server.users.user_ids())
         report = world.server.durability.maybe_compact(world.server, force=True)
         assert report is not None and report["reclaimed_bytes"] > 0
@@ -437,11 +470,84 @@ class TestCompaction:
         world.server.users.ingest_fixes(list(drive.fixes())[:10], skip_stale=True)
         live = fingerprint(world, user_ids)
 
-        survivor = PphcrServer(city=world.city, config=world.server.config)
+        survivor = wal.recover(world)
         checkpoint = survivor.durability.load_checkpoint()
         assert checkpoint is not None
         survivor.restore_snapshot(checkpoint["snapshot"], replay_log=True)
         assert fingerprint(survivor, user_ids) == live
+
+    def test_appends_racing_the_checkpoint_survive_in_the_tail(self, wal, monkeypatch):
+        world = wal.world()
+        server = world.server
+        user_ids = sorted(server.users.user_ids())
+        _commuter, drive = world.live_drives()[0]
+        fixes = list(drive.fixes())[:10]
+        take_snapshot = server.snapshot
+
+        def snapshot_then_ingest():
+            # Lands after the watermark is read, before the logs are rewritten.
+            payload = take_snapshot()
+            server.users.ingest_fixes(fixes, skip_stale=True)
+            return payload
+
+        monkeypatch.setattr(server, "snapshot", snapshot_then_ingest)
+        report = server.durability.maybe_compact(server, force=True)
+        watermark, last_lsn = report["lsn"], server.durability.last_lsn
+        assert last_lsn > watermark
+        tail = server.durability.read_commits(after_lsn=0)
+        assert [commit["lsn"] for commit in tail] == list(range(watermark + 1, last_lsn + 1))
+        live = fingerprint(world, user_ids)
+
+        survivor = wal.recover(world)
+        checkpoint = survivor.durability.load_checkpoint()
+        assert checkpoint["lsn"] == watermark
+        survivor.restore_snapshot(checkpoint["snapshot"], replay_log=True)
+        assert fingerprint(survivor, user_ids) == live
+
+    def test_fsync_orders_checkpoint_directory_then_logs(self, wal, monkeypatch):
+        world = wal.world()
+        durability = world.server.durability
+        directory = durability.directory
+        writers = {w.path.stat().st_ino: w for w in durability._writers.values()}
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            inode = os.fstat(fd).st_ino
+            writer = writers.get(inode)
+            # A rewritten log must still be locked while it is synced.
+            calls.append(("fsync", inode, writer is None or writer.lock.locked()))
+            real_fsync(fd)
+
+        def replace_file(source, target):
+            calls.append(("replace", Path(source).name, Path(target).name))
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace_file)
+        # The build above ran with fsync off; only the checkpoint syncs.
+        durability._config = replace(durability._config, fsync=True)
+        assert durability.maybe_compact(world.server, force=True) is not None
+        checkpoint = directory / "checkpoint.json.gz"
+        assert calls[:3] == [
+            ("fsync", checkpoint.stat().st_ino, True),
+            ("replace", "checkpoint.json.tmp", checkpoint.name),
+            ("fsync", directory.stat().st_ino, True),
+        ]
+        assert sorted(calls[3:]) == sorted(("fsync", inode, True) for inode in writers)
+
+        calls.clear()
+        durability._config = replace(durability._config, fsync=False)
+        assert durability.maybe_compact(world.server, force=True) is not None
+        assert calls == [("replace", "checkpoint.json.tmp", checkpoint.name)]
+
+    def test_close_is_idempotent_and_appends_reopen(self, wal):
+        world = wal.world()
+        durability = world.server.durability
+        durability.close()
+        durability.close()
+        lsn = durability.append(0, [])
+        assert [commit["lsn"] for commit in durability.read_commits(after_lsn=lsn - 1)] == [lsn]
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +575,8 @@ def _feedback_body(world):
 
 
 class TestReadReplica:
-    def test_lag_zero_reads_are_byte_identical(self, tmp_path):
-        world = durable_world(tmp_path / "wal")
+    def test_lag_zero_reads_are_byte_identical(self, wal):
+        world = wal.world()
         replica = _replica_for(world)
         assert replica.catch_up() > 0
         assert replica.lag_frames() == 0
@@ -493,8 +599,8 @@ class TestReadReplica:
             assert "etag" in p_headers
             assert r_headers.get("etag") == p_headers.get("etag")
 
-    def test_catch_up_follows_new_primary_writes(self, tmp_path):
-        world = durable_world(tmp_path / "wal")
+    def test_catch_up_follows_new_primary_writes(self, wal):
+        world = wal.world()
         replica = _replica_for(world)
         replica.catch_up()
         commuter, drive = world.live_drives()[0]
@@ -507,8 +613,8 @@ class TestReadReplica:
             commuter.user_id
         ) == world.server.users.tracking.fix_count(commuter.user_id)
 
-    def test_writes_rejected_until_promoted(self, tmp_path):
-        world = durable_world(tmp_path / "wal")
+    def test_writes_rejected_until_promoted(self, wal):
+        world = wal.world()
         replica = _replica_for(world)
         replica.catch_up()
         status, _body, headers = replica.handle_wire(
@@ -524,8 +630,8 @@ class TestReadReplica:
         )
         assert status < 400
 
-    def test_replica_server_must_not_have_its_own_wal(self, tmp_path):
-        world = durable_world(tmp_path / "wal")
+    def test_replica_server_must_not_have_its_own_wal(self, wal, tmp_path):
+        world = wal.world()
         durable_config = replace(
             world.server.config,
             durability=DurabilityConfig(
@@ -540,8 +646,8 @@ class TestReadReplica:
                 ),
             )
 
-    def test_lag_gauge_exported(self, tmp_path):
-        world = durable_world(tmp_path / "wal")
+    def test_lag_gauge_exported(self, wal):
+        world = wal.world()
         replica = _replica_for(world)
         replica.catch_up()
         snapshot = replica.server.telemetry.metrics_snapshot()
@@ -555,8 +661,8 @@ class TestReadReplica:
 
 
 class TestWalTelemetry:
-    def test_ops_metrics_expose_wal_counters(self, tmp_path):
-        world = durable_world(tmp_path / "wal")
+    def test_ops_metrics_expose_wal_counters(self, wal):
+        world = wal.world()
         gateway = Gateway(world.server)
         status, body, _headers = gateway.handle_wire("GET", "/v1/ops/metrics", None)
         assert status == 200
@@ -569,8 +675,8 @@ class TestWalTelemetry:
         fsync = payload["histograms"]["wal_fsync_seconds"]["series"]
         assert fsync and fsync[0]["count"] > 0
 
-    def test_compaction_counters_and_dashboard_lines(self, tmp_path):
-        world = durable_world(tmp_path / "wal")
+    def test_compaction_counters_and_dashboard_lines(self, wal):
+        world = wal.world()
         server = world.server
         server.durability.maybe_compact(server, force=True)
         dashboard = ControlDashboard(
