@@ -133,15 +133,6 @@ class GridIndex(Generic[T]):
         results.sort(key=lambda pair: pair[1])
         return results
 
-    def query_radius_items(self, center: GeoPoint, radius_m: float) -> List[T]:
-        """Items within ``radius_m`` of ``center`` — no distances, no sort.
-
-        The cheap variant for density counting (e.g. DBSCAN region queries),
-        where the caller only needs the members of an eps-neighbourhood and
-        ordering them by distance would be wasted work.
-        """
-        return [item for item, _distance in self._scan_radius(center, radius_m)]
-
     def query_bbox(self, box: BoundingBox) -> List[T]:
         """All items whose position falls inside ``box``."""
         min_cell = (

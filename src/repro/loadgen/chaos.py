@@ -241,6 +241,7 @@ class ChaosController:
     def _kill_and_restore(self, injection: Dict[str, Any], index: int) -> None:
         """The server dies; a fresh process restores and devices retry."""
         lost = self._lost_window(injection["snapshot_at"], index)
+        self._close_handles(self._server)
         server = self._rebuild()
         server.restore_snapshot(injection["snapshot"])
         self._server = server
@@ -284,7 +285,7 @@ class ChaosController:
     def _tear_log_and_recover(self, injection: Dict[str, Any], index: int) -> None:
         """The crash: WAL tails past the tear point never reached disk."""
         durability = self._server.durability
-        durability.flush()
+        durability.close()  # the crash: buffers flushed, handles gone
         directory = durability.directory
         cut_sizes = injection["cut_sizes"]
         for path in log_paths(directory):
@@ -357,6 +358,7 @@ class ChaosController:
             ):
                 matches += 1
         replica.promote()
+        self._close_handles(self._server)
         self._server = replica.server
         self._gateway = replica
         self._replay.use_gateway(replica)
@@ -370,6 +372,14 @@ class ChaosController:
                 "etag_matches": matches,
             }
         )
+
+    @staticmethod
+    def _close_handles(server) -> None:
+        """Release a replaced server's WAL file handles (a dead process's
+        descriptors close with it)."""
+        durability = getattr(server, "durability", None)
+        if durability is not None:
+            durability.close()
 
     def _lost_window(self, start: int, end: int) -> List[WireEvent]:
         """State-changing events dispatched in ``[start, end)``."""

@@ -510,6 +510,11 @@ class DurabilityManager:
         self._fsync_seconds = None
         self._compactions = None
         self._reclaimed = None
+        # Resolved (appends{shard}, bytes, fsync seconds) series per log
+        # key, so an append pays one dict lookup, not three labels()
+        # validations.  Filled on a key's first append, so the registry
+        # holds the same series it would without the cache.
+        self._append_series: Dict[str, Tuple[Any, Any, Any]] = {}
         if telemetry is not None and telemetry.enabled:
             metrics = telemetry.metrics
             self._appends = metrics.counter(
@@ -745,9 +750,18 @@ class DurabilityManager:
             writer.append(frame, lsn, fsync=self._config.fsync)
             elapsed = time.perf_counter() - t0
         if self._appends is not None:
-            self._appends.labels(shard=key).inc()
-            self._bytes.inc(len(frame))
-            self._fsync_seconds.record(elapsed)
+            series = self._append_series.get(key)
+            if series is None:
+                series = (
+                    self._appends.labels(shard=key),
+                    self._bytes.labels(),
+                    self._fsync_seconds.labels(),
+                )
+                self._append_series[key] = series
+            appends, appended_bytes, fsync_seconds = series
+            appends.inc()
+            appended_bytes.inc(len(frame))
+            fsync_seconds.record(elapsed)
         return lsn
 
     def flush(self) -> None:

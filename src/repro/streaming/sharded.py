@@ -44,6 +44,10 @@ class ShardedStreamingEngine:
     wrapper around one engine.
     """
 
+    #: Telemetry wiring, not state: resolved metric series live in the
+    #: registry, and the cache refills on each shard's next batch.
+    SNAPSHOT_EXEMPT = ("_ingest_series",)
+
     def __init__(
         self,
         config: StreamingConfig = StreamingConfig(),
@@ -62,6 +66,10 @@ class ShardedStreamingEngine:
         # never per fix, so the O(1)-per-fix streaming budget is untouched.
         self._ingest_seconds = None
         self._repair_seconds = None
+        # Resolved ``streaming_ingest_seconds{shard}`` series by shard, so a
+        # batch pays one dict lookup, not a labels() validation; filled on
+        # a shard's first batch, when labels() would create the series.
+        self._ingest_series: Dict[int, Any] = {}
         if metrics is not None and getattr(metrics, "enabled", True):
             self._ingest_seconds = metrics.histogram(
                 "streaming_ingest_seconds",
@@ -121,7 +129,7 @@ class ShardedStreamingEngine:
             start = time.perf_counter() if histogram is not None else 0.0
             completed = self._engines[0].observe_fixes(fixes)
             if histogram is not None:
-                histogram.labels(shard="0").record(time.perf_counter() - start)
+                self._ingest_series_for(0).record(time.perf_counter() - start)
             return completed
         groups: Dict[int, List[GpsFix]] = {}
         for fix in fixes:
@@ -131,8 +139,15 @@ class ShardedStreamingEngine:
             start = time.perf_counter() if histogram is not None else 0.0
             completed.extend(self._engines[shard].observe_fixes(groups[shard]))
             if histogram is not None:
-                histogram.labels(shard=str(shard)).record(time.perf_counter() - start)
+                self._ingest_series_for(shard).record(time.perf_counter() - start)
         return completed
+
+    def _ingest_series_for(self, shard: int):
+        series = self._ingest_series.get(shard)
+        if series is None:
+            series = self._ingest_seconds.labels(shard=str(shard))
+            self._ingest_series[shard] = series
+        return series
 
     # Model access ----------------------------------------------------------
 

@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.errors import TrajectoryError
 from repro.trajectory.features import route_signature, route_similarity_signatures
 from repro.trajectory.model import Trajectory
-from repro.trajectory.staypoints import StayPoint, nearest_stay_point
+from repro.trajectory.staypoints import StayPoint, nearest_by_trig, stay_point_trig
 from repro.util.timeutils import SECONDS_PER_DAY
 
 
@@ -215,12 +215,13 @@ def cluster_trips(
     if min_support < 1:
         raise TrajectoryError("min_support must be >= 1")
     groups: Dict[Tuple[int, int], List[Trajectory]] = {}
+    trig = stay_point_trig(stay_points)
     for trip in trips:
-        origin_sp = nearest_stay_point(
-            stay_points, trip.origin, max_distance_m=max_endpoint_distance_m
+        origin_sp = nearest_by_trig(
+            trig, trip.origin, max_distance_m=max_endpoint_distance_m
         )
-        destination_sp = nearest_stay_point(
-            stay_points, trip.destination, max_distance_m=max_endpoint_distance_m
+        destination_sp = nearest_by_trig(
+            trig, trip.destination, max_distance_m=max_endpoint_distance_m
         )
         if origin_sp is None or destination_sp is None:
             continue

@@ -141,9 +141,24 @@ def schedule_fault(fault, chaos, world, script):
         raise AssertionError(f"unknown fault {fault}")
 
 
+@pytest.fixture
+def survivors():
+    """Chaos controllers whose surviving server's WAL closes at teardown.
+
+    The controller closes every server it replaces; the one still serving
+    when the replay ends is the test's to close.
+    """
+    controllers = []
+    yield controllers
+    for chaos in controllers:
+        durability = getattr(chaos.server, "durability", None)
+        if durability is not None:
+            durability.close()
+
+
 @pytest.mark.parametrize("fault", FAULTS)
 @pytest.mark.parametrize("scenario", SCENARIO_NAMES)
-def test_scenario_survives_fault(references, scenario, fault, tmp_path):
+def test_scenario_survives_fault(references, scenario, fault, tmp_path, survivors):
     ref = references[scenario]
     durability = (
         DurabilityConfig(enabled=True, directory=str(tmp_path / "wal"))
@@ -161,6 +176,7 @@ def test_scenario_survives_fault(references, scenario, fault, tmp_path):
         gateway,
         rebuild=lambda: PphcrServer(city=world.city, config=world.server.config),
     )
+    survivors.append(chaos)
     schedule_fault(fault, chaos, world, script)
     WorldReplay(gateway, chaos=chaos).run(script)
 

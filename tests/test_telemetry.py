@@ -44,7 +44,8 @@ from repro.spatialdb import GpsFix
 from repro.geo import GeoPoint
 from repro.geo.geodesy import destination_point
 from repro.client.dashboard import ControlDashboard
-from repro.storage import ShardingConfig, ShardWorkerPool
+from repro.storage import DurabilityConfig, ShardingConfig, ShardWorkerPool
+from repro.storage.wal import log_paths, scan_frames
 from repro.users.profile import UserProfile
 from repro.util.ids import reset_ids
 from repro.util.rng import DeterministicRng
@@ -533,6 +534,67 @@ def test_streaming_batch_ingest_records_per_shard_histograms():
     ingest = snapshot["histograms"]["streaming_ingest_seconds"]["series"]
     assert ingest
     assert all(entry["count"] >= 1 for entry in ingest)
+
+
+def test_write_path_series_match_what_was_written(tmp_path):
+    """The WAL and streaming-ingest series are resolved once per key and
+    reused; the registry still holds exactly what the writes produced: one
+    ``wal_appends_total`` series per log, equal to its frame count, byte and
+    fsync totals over every frame, and one ingest sample per shard batch."""
+    reset_ids()
+    server = PphcrServer(
+        config=ServerConfig(
+            sharding=ShardingConfig(shards=4),
+            durability=DurabilityConfig(enabled=True, directory=str(tmp_path / "wal")),
+        )
+    )
+    try:
+        gateway = Gateway(server)
+        expected_ingests = {}
+        for index in range(6):
+            server.register_user(
+                UserProfile(user_id=f"user-{index:03d}", display_name=f"User {index}")
+            )
+        for round_index in range(3):
+            for index in range(6):
+                user_id = f"user-{index:03d}"
+                fixes = [
+                    {"lat": fix.position.lat, "lon": fix.position.lon, "timestamp_s": fix.timestamp_s}
+                    for fix in _fixes_for(user_id, t0=round_index * 86400.0)
+                ]
+                status, _, _ = gateway.handle_wire(
+                    "POST", "/v1/tracking/batch",
+                    json.dumps({"user_id": user_id, "fixes": fixes}),
+                )
+                assert status == 202
+                shard = str(server.streaming.shard_of(user_id))
+                expected_ingests[shard] = expected_ingests.get(shard, 0) + 1
+        server.durability.flush()
+        logs = log_paths(server.durability.directory)
+        frames = {path.stem: len(scan_frames(path.read_bytes())[0]) for path in logs}
+        snapshot = server.telemetry.metrics_snapshot()
+        appends = {
+            entry["labels"]["shard"]: entry["value"]
+            for entry in snapshot["counters"]["wal_appends_total"]["series"]
+        }
+        assert appends == {key: float(count) for key, count in frames.items()}
+        assert len(appends) >= 3
+        (wal_bytes,) = snapshot["counters"]["wal_bytes_total"]["series"]
+        assert wal_bytes == {
+            "labels": {},
+            "value": float(sum(path.stat().st_size for path in logs)),
+        }
+        (fsync,) = snapshot["histograms"]["wal_fsync_seconds"]["series"]
+        assert fsync["labels"] == {}
+        assert fsync["count"] == sum(frames.values())
+        ingest = {
+            entry["labels"]["shard"]: entry["count"]
+            for entry in snapshot["histograms"]["streaming_ingest_seconds"]["series"]
+        }
+        assert ingest == expected_ingests
+        assert len(ingest) >= 2
+    finally:
+        server.durability.close()
 
 
 # Dashboard ----------------------------------------------------------------
