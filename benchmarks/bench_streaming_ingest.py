@@ -97,7 +97,8 @@ def build_fix_ticks(
 
 
 def batch_model(fixes: List[GpsFix]):
-    """One full-history batch rebuild (mirrors ``rebuild_mobility_model``)."""
+    """One full-history batch rebuild: the batch miner with the streaming
+    engine's parameters, the oracle its full snapshot must equal."""
     trips = split_into_trips(Trajectory.from_fixes(fixes[0].user_id, fixes))
     stay_points = stay_points_from_trips(trips, eps_m=STAY_POINT_EPS_M) if trips else []
     clusters = (

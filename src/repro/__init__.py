@@ -11,14 +11,14 @@ The public API is organised by subsystem (see ``DESIGN.md`` for the full
 inventory); the names re-exported here are the ones most applications need:
 
 * build a synthetic world and server: :func:`repro.datasets.build_world`,
-  :class:`repro.pipeline.PphcrServer`, :class:`repro.pipeline.PublicApi`;
+  :class:`repro.pipeline.PphcrServer`;
 * run the paper's scenarios: :mod:`repro.simulation`;
 * use the recommender directly: :mod:`repro.recommender`.
 """
 
 from repro.datasets import WorldConfig, build_world
 from repro.errors import ReproError
-from repro.pipeline import PphcrServer, PublicApi, ServerConfig
+from repro.pipeline import PphcrServer, ServerConfig
 from repro.recommender import (
     CompoundScorer,
     ListenerContext,
@@ -41,7 +41,6 @@ __all__ = [
     "PersonalizationStrategy",
     "PphcrServer",
     "ProactiveEngine",
-    "PublicApi",
     "RecommendationPlan",
     "ReproError",
     "Scheduler",

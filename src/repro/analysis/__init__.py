@@ -14,10 +14,7 @@ the suppression/baseline policy.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
-
-from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline
+from repro.analysis.baseline import Baseline
 from repro.analysis.engine import AnalysisResult, Project, run_analysis
 from repro.analysis.facts import ModuleFacts, extract_module
 from repro.analysis.findings import Finding, Rule
@@ -33,43 +30,4 @@ __all__ = [
     "Rule",
     "extract_module",
     "run_analysis",
-    "tooling_summary",
 ]
-
-
-def _locate_source_root() -> Tuple[Optional[Path], Optional[Path]]:
-    """(repo root, src/repro dir) for a dev checkout, else (None, None)."""
-    package_dir = Path(__file__).resolve().parent.parent  # src/repro
-    src_dir = package_dir.parent
-    repo_root = src_dir.parent
-    if src_dir.name == "src" and package_dir.name == "repro":
-        return repo_root, package_dir
-    return None, None
-
-
-def tooling_summary(*, scan: bool = False) -> Dict[str, Any]:
-    """The dev-tooling summary the ops dashboard renders.
-
-    Cheap by default: rule count plus the checked-in baseline's size.
-    With ``scan=True`` (and a dev checkout to scan) the full analyzer
-    runs over ``src/repro`` and the summary also carries finding counts.
-    """
-    summary: Dict[str, Any] = {
-        "rules": len(ALL_RULES),
-        "baseline": None,
-        "findings": None,
-        "new": None,
-    }
-    repo_root, package_dir = _locate_source_root()
-    if repo_root is None:
-        return summary
-    baseline_path = repo_root / DEFAULT_BASELINE_NAME
-    baseline = Baseline.load(baseline_path) if baseline_path.exists() else Baseline()
-    summary["baseline"] = len(baseline)
-    if scan and package_dir is not None:
-        result = run_analysis(
-            [package_dir], root=repo_root, rules=ALL_RULES, baseline=baseline
-        )
-        summary["findings"] = len(result.findings)
-        summary["new"] = len(result.new)
-    return summary

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.analysis import tooling_summary
 from repro.client.editorial import EditorialDesk
 from repro.content.repository import ContentRepository
 from repro.errors import NotFoundError
@@ -204,11 +203,6 @@ class ControlDashboard:
         bundle — when given (and enabled), the report also carries the
         metrics registry's snapshot and the slow-query log, the same
         payloads ``GET /v1/ops/metrics`` / ``/v1/ops/traces`` expose.
-
-        The report always carries the static-analysis tooling summary
-        (:func:`repro.analysis.tooling_summary` — rule count and checked-in
-        baseline size; cheap, no tree scan), so the ops panel shows the
-        invariant-gate posture next to the runtime counters.
         """
         metrics = None
         slow_queries = None
@@ -220,7 +214,6 @@ class ControlDashboard:
             gateway=gateway.metrics_snapshot() if gateway is not None else None,
             metrics=metrics,
             slow_queries=slow_queries,
-            analysis=tooling_summary(),
         )
 
 
@@ -235,9 +228,6 @@ class OpsReport:
     metrics: Optional[Dict[str, object]] = None
     #: The slow-query log, newest first (None without telemetry).
     slow_queries: Optional[List[Dict[str, object]]] = None
-    #: The ``repro.analysis`` tooling summary (rule count, baseline size,
-    #: finding counts when a scan ran); None when built without one.
-    analysis: Optional[Dict[str, object]] = None
 
     def summary_lines(self) -> List[str]:
         """Plain-text rendering of the ops panel."""
@@ -329,13 +319,4 @@ class OpsReport:
                     f"[{plan.get('strategy', '?')}] {entry['elapsed_ms']:.1f} ms, "
                     f"{entry['rows']} rows (shard {entry.get('shard')})"
                 )
-        if self.analysis is not None:
-            line = f"static analysis: {self.analysis.get('rules', 0)} rules"
-            baseline = self.analysis.get("baseline")
-            if baseline is not None:
-                line += f", baseline {baseline} entr{'y' if baseline == 1 else 'ies'}"
-            findings = self.analysis.get("findings")
-            if findings is not None:
-                line += f", {findings} finding(s) ({self.analysis.get('new')} new)"
-            lines.append(line)
         return lines

@@ -174,7 +174,7 @@ def build_world(config: WorldConfig = WorldConfig()) -> SyntheticWorld:
             fixes = commuter_generator.historical_fixes(commuter)
             server.users.ingest_fixes(fixes)
             if len(fixes) >= 2:
-                server.rebuild_mobility_model(commuter.user_id)
+                server.refresh_mobility_model(commuter.user_id)
 
     return SyntheticWorld(
         config=config,

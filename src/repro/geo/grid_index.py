@@ -14,7 +14,7 @@ from typing import Dict, Generic, Iterable, List, Optional, Set, Tuple, TypeVar
 
 from repro.errors import GeometryError, NotFoundError
 from repro.geo.bbox import BoundingBox
-from repro.geo.geodesy import haversine_m
+from repro.geo.geodesy import EARTH_RADIUS_M, haversine_m
 from repro.geo.point import GeoPoint
 
 T = TypeVar("T")
@@ -97,25 +97,58 @@ class GridIndex(Generic[T]):
         """Iterate over ``(item, position)`` pairs."""
         return list(self._positions.items())
 
-    def _scan_extents(self, center: GeoPoint, radius_m: float) -> Tuple[int, int]:
+    def _scan_extents(
+        self, center: GeoPoint, radius_m: float
+    ) -> Optional[Tuple[int, int]]:
         """How many cells either side of ``center`` a radius query must visit.
 
-        A degree of longitude shrinks by cos(latitude), so a fixed metric
-        radius spans more lon cells away from the equator; the lon extent is
-        widened by 1/cos(lat) or high-latitude matches would be missed.
+        The disc of angular radius rho = r / R around latitude phi spans
+        rho of latitude and asin(sin(rho) / cos(phi)) of longitude either
+        side, so longitude extents widen towards the poles.  Cells neither
+        wrap at ±180° longitude nor meet over the poles, so a window that
+        reaches a pole or the antimeridian returns ``None``: no cell walk
+        can answer that query, and the caller scans every item instead.
+        So does a centre where cos(lat) < 0.01 (within 0.58° of a pole),
+        whose longitude window would be over 100 times its latitude one.
         """
-        lat_cells = int(math.ceil((radius_m / _METERS_PER_DEGREE_LAT) / self._cell_deg)) + 1
-        cos_lat = max(0.01, math.cos(math.radians(center.lat)))
-        lon_cells = (
-            int(math.ceil((radius_m / (_METERS_PER_DEGREE_LAT * cos_lat)) / self._cell_deg)) + 1
-        )
+        cos_phi = math.cos(math.radians(center.lat))
+        if cos_phi < 0.01:
+            return None
+        cell_deg = self._cell_deg
+        cell_lat, cell_lon = self._cell_of(center)
+        rho = radius_m / EARTH_RADIUS_M
+        lat_cells = int(math.ceil(math.degrees(rho) / cell_deg)) + 1
+        if (cell_lat - lat_cells) * cell_deg <= -90.0 or (
+            cell_lat + lat_cells + 1
+        ) * cell_deg >= 90.0:
+            return None
+        # The window stops short of the pole, so rho < 90° - |phi| and the
+        # ratio stays below 1.
+        lon_deg = math.degrees(math.asin(math.sin(rho) / cos_phi))
+        lon_cells = int(math.ceil(lon_deg / cell_deg)) + 1
+        if (cell_lon - lon_cells) * cell_deg <= -180.0 or (
+            cell_lon + lon_cells + 1
+        ) * cell_deg >= 180.0:
+            return None
         return lat_cells, lon_cells
+
+    def _scan_all(self, center: GeoPoint, radius_m: float) -> List[Tuple[T, float]]:
+        """Unsorted ``(item, distance)`` pairs within ``radius_m``, by full scan."""
+        results: List[Tuple[T, float]] = []
+        for item, position in self._positions.items():
+            distance = haversine_m(center, position)
+            if distance <= radius_m:
+                results.append((item, distance))
+        return results
 
     def _scan_radius(self, center: GeoPoint, radius_m: float) -> List[Tuple[T, float]]:
         """Unsorted ``(item, distance)`` pairs within ``radius_m`` of ``center``."""
         if radius_m < 0:
             raise GeometryError(f"radius_m must be >= 0, got {radius_m}")
-        lat_cells, lon_cells = self._scan_extents(center, radius_m)
+        extents = self._scan_extents(center, radius_m)
+        if extents is None:
+            return self._scan_all(center, radius_m)
+        lat_cells, lon_cells = extents
         center_cell = self._cell_of(center)
         results: List[Tuple[T, float]] = []
         for d_lat in range(-lat_cells, lat_cells + 1):
@@ -168,7 +201,11 @@ class GridIndex(Generic[T]):
         # new ring of cells instead of re-querying the whole disc.
         seen_lat, seen_lon = -1, -1
         while True:
-            lat_cells, lon_cells = self._scan_extents(center, radius)
+            extents = self._scan_extents(center, radius)
+            if extents is None:
+                hits = self._scan_all(center, max_radius_m)
+                return min(hits, key=lambda pair: pair[1], default=None)
+            lat_cells, lon_cells = extents
             for d_lat in range(-lat_cells, lat_cells + 1):
                 if abs(d_lat) <= seen_lat:
                     lon_range: Iterable[int] = list(range(-lon_cells, -seen_lon)) + list(

@@ -6,8 +6,7 @@ classification, user data (profiles, feedback, tracking) is managed, and the
 recommender produces context-aware plans that the public API serves to the
 clients.  RabbitMQ is replaced by an in-process publish/subscribe bus, and
 the "Public Rest API Server" by the :mod:`repro.pipeline.gateway` subsystem
-(declarative routes + middleware), with :class:`PublicApi` kept as a v1
-compatibility façade.
+(declarative routes + middleware).
 """
 
 from repro.pipeline.messaging import Message, MessageBus
@@ -21,7 +20,6 @@ from repro.pipeline.gateway import (
     RateLimitConfig,
     Route,
 )
-from repro.pipeline.api import PublicApi
 
 __all__ = [
     "ApiKeyRegistry",
@@ -32,7 +30,6 @@ __all__ = [
     "Message",
     "MessageBus",
     "PphcrServer",
-    "PublicApi",
     "RateLimitConfig",
     "Route",
     "ServerConfig",

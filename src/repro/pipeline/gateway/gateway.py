@@ -30,9 +30,6 @@ with a declarative subsystem:
   and clip reads keyed by storage-table ``version`` counters, so a
   client that polls while nothing changed never pays for a recommender
   tick or a body rebuild.
-
-The legacy :class:`~repro.pipeline.api.PublicApi` survives as a thin v1
-compatibility façade over :meth:`Gateway.handle`.
 """
 
 from __future__ import annotations

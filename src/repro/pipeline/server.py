@@ -41,19 +41,12 @@ from repro.spatialdb import SpatialQueryEngine
 from repro.storage.sharding import ShardingConfig, ShardWorkerPool
 from repro.storage.wal import DurabilityConfig, DurabilityManager
 from repro.streaming.compactor import CompactionConfig, ShardedCompactor
-from repro.streaming.engine import STREAMING_STATE_VERSION, StreamingConfig
-from repro.streaming.incremental import IncrementalConfig
+from repro.streaming.engine import StreamingConfig
 from repro.streaming.sharded import ShardedStreamingEngine
 from repro.textclass import NaiveBayesClassifier
-from repro.trajectory import (
-    DestinationPredictor,
-    Trajectory,
-    TravelTimePredictor,
-    cluster_trips,
-    split_into_trips,
-)
+from repro.trajectory import DestinationPredictor, Trajectory, TravelTimePredictor
 from repro.trajectory.clustering import RouteCluster, RouteClusterIndex, find_cluster
-from repro.trajectory.staypoints import StayPoint, nearest_stay_point, stay_points_from_trips
+from repro.trajectory.staypoints import StayPoint, nearest_stay_point
 from repro.users.management import UserManager
 from repro.users.profile import UserProfile
 
@@ -67,7 +60,6 @@ class ServerConfig:
     proactive: ProactiveConfig = ProactiveConfig()
     candidate_filter: CandidateFilterConfig = CandidateFilterConfig()
     asr_target_wer: float = 0.12
-    stay_point_eps_m: float = 300.0
     min_trips_for_model: int = 2
     streaming: StreamingConfig = StreamingConfig()
     compaction: CompactionConfig = CompactionConfig()
@@ -106,17 +98,6 @@ class _UserMobilityModel:
     def __post_init__(self) -> None:
         if self.cluster_index is None:
             self.cluster_index = RouteClusterIndex(self.clusters)
-
-
-def _empty_streaming_state() -> Dict:
-    """The streaming payload a snapshot without streaming state restores."""
-    return {
-        "version": STREAMING_STATE_VERSION,
-        "fixes_observed": 0,
-        "observed_per_user": {},
-        "sessionizer": {"users": {}},
-        "model": {"users": {}},
-    }
 
 
 class PphcrServer:
@@ -183,32 +164,24 @@ class PphcrServer:
         # the engine's (epoch, trip_count) so a stale copy is never reused.
         self._streaming_served: Dict[str, tuple] = {}
         self._travel_time = TravelTimePredictor(self._planner)
-        # Streaming mobility mining: every ingested fix flows through the
-        # online sessionizer/incremental miner so compaction never has to
-        # re-read raw histories.  The stay-point radius follows the server's
-        # batch setting so both paths mine with identical parameters.
-        self._streaming: Optional[ShardedStreamingEngine] = None
-        if config.streaming.enabled:
-            incremental = replace(
-                config.streaming.incremental, eps_m=config.stay_point_eps_m
-            )
-            self._streaming = ShardedStreamingEngine(
-                replace(config.streaming, incremental=incremental),
-                shards=config.sharding.shards,
-                bus=self._bus,
-                metrics=self._telemetry.metrics if self._telemetry.enabled else None,
-            )
-            self._users.add_fix_listener(
-                self._streaming.observe_fix, batch=self._streaming.observe_fixes
-            )
+        # Streaming mobility mining, the server's only miner: every
+        # ingested fix flows through the online sessionizer/incremental
+        # miner, so neither serving nor compaction re-reads raw histories.
+        self._streaming = ShardedStreamingEngine(
+            config.streaming,
+            shards=config.sharding.shards,
+            bus=self._bus,
+            metrics=self._telemetry.metrics if self._telemetry.enabled else None,
+        )
+        self._users.add_fix_listener(
+            self._streaming.observe_fix, batch=self._streaming.observe_fixes
+        )
         self._compactor = ShardedCompactor(
-            self._users.tracking,
-            self._refresh_mobility_model,
-            config=config.compaction,
+            self._users.tracking, self._refresh_for_compaction, config=config.compaction
         )
         # Round-robin shard cursor for maintenance_tick(): successive ticks
-        # walk the compactor's shards so a deployment covers the whole
-        # population without ever running a full pass.
+        # walk the shards so a deployment covers the whole population
+        # without ever running a full pass.
         self._maintenance_shard = 0
         # Per-shard worker pool (one single-thread executor per shard, built
         # lazily): batch ingest and full-pass compaction dispatch their
@@ -280,8 +253,8 @@ class PphcrServer:
         return self._planner
 
     @property
-    def streaming(self) -> Optional[ShardedStreamingEngine]:
-        """The streaming mobility engine façade (None when disabled)."""
+    def streaming(self) -> ShardedStreamingEngine:
+        """The streaming mobility engine façade."""
         return self._streaming
 
     @property
@@ -392,33 +365,32 @@ class PphcrServer:
 
     # Mobility model -------------------------------------------------------------
 
-    def rebuild_mobility_model(self, user_id: str) -> _UserMobilityModel:
-        """Run the periodic tracking-data compaction for one user.
+    def refresh_mobility_model(self, user_id: str) -> _UserMobilityModel:
+        """Re-mine one user's mobility model and cache it for serving.
 
-        Splits the raw GPS history into trips, extracts stay points with
-        DBSCAN and clusters recurring routes.  The result is cached and used
-        by :meth:`build_context`.
+        Takes the streaming engine's full snapshot: its compact trip list
+        plus the trips the open tail would yield now, mined with the batch
+        algorithms.  That equals the batch miner over every fix the engine
+        has observed for the user (up to ``max_trips_per_user`` retained
+        trips), without reading the raw history, which compaction prunes.
+        Each compaction visit calls this, and so does a bulk history load;
+        :meth:`build_context` uses the cached result.
         """
-        try:
-            fixes = self._users.tracking.fixes_for(user_id)
-        except NotFoundError:
-            fixes = []
-        if len(fixes) < 2:
+        if self._streaming.observed_fix_count(user_id) < 2:
             raise PipelineError(f"not enough tracking data for user {user_id!r}")
-        trajectory = Trajectory.from_fixes(user_id, fixes)
-        trips = split_into_trips(trajectory)
-        stay_points = stay_points_from_trips(trips, eps_m=self._config.stay_point_eps_m) if trips else []
-        clusters = cluster_trips(trips, stay_points) if stay_points else []
-        model = _UserMobilityModel(stay_points=stay_points, clusters=clusters, trip_count=len(trips))
+        snapshot = self._streaming.model_snapshot(user_id, include_open_tail=True)
+        if snapshot is None:
+            model = _UserMobilityModel(stay_points=[], clusters=[], trip_count=0)
+        else:
+            model = self._model_from_snapshot(snapshot)
         self._mobility_models[user_id] = model
         self._bus.publish(
             "tracking.model_rebuilt",
             {
                 "user_id": user_id,
-                "trips": len(trips),
-                "stay_points": len(stay_points),
-                "clusters": len(clusters),
-                "source": "batch",
+                "trips": model.trip_count,
+                "stay_points": len(model.stay_points),
+                "clusters": len(model.clusters),
             },
         )
         return model
@@ -427,25 +399,22 @@ class PphcrServer:
         """``(epoch, trips, fixes_added)`` — an O(1) mobility validator.
 
         Combines the streaming engine's ``model_freshness`` (repair epoch,
-        folded trips; zeros when streaming is disabled) with the tracking
-        store's monotonic fix counter, so the token moves on *every* fix —
-        including fixes written directly to the store that bypass the
-        engine.  The gateway keys recommendation ETags on it.
+        folded trips) with the tracking store's monotonic fix counter, so
+        the token moves on *every* accepted fix, including the ones that
+        only extend the open tail.  The gateway keys recommendation ETags
+        on it.
         """
-        if self._streaming is not None:
-            epoch, trips = self._streaming.model_freshness(user_id)
-        else:
-            epoch, trips = 0, 0
+        epoch, trips = self._streaming.model_freshness(user_id)
         return (epoch, trips, self._users.tracking.fixes_added(user_id))
 
     def mobility_model(self, user_id: str) -> _UserMobilityModel:
-        """The user's mobility model: cached batch result, live streaming
-        model, or a fresh batch rebuild — in that order of preference."""
+        """The user's mobility model: the last refresh's, the live streaming
+        model, or a refresh now — in that order of preference."""
         model = self._mobility_models.get(user_id)
         if model is None:
             model = self._streaming_model(user_id)
         if model is None:
-            model = self.rebuild_mobility_model(user_id)
+            model = self.refresh_mobility_model(user_id)
         return model
 
     @staticmethod
@@ -456,24 +425,8 @@ class PphcrServer:
             trip_count=snapshot.trip_count,
         )
 
-    def _stream_is_complete_for(self, user_id: str) -> bool:
-        """Whether the engine saw every fix the tracking store holds.
-
-        Fixes written directly to the tracking store bypass the ingestion
-        listeners; serving (or worse, caching-then-pruning against) a
-        streaming model that never saw them would silently lose those
-        drives, so such users always take the batch path.
-        """
-        return (
-            self._streaming is not None
-            and self._streaming.observed_fix_count(user_id)
-            == self._users.tracking.fixes_added(user_id)
-        )
-
     def _streaming_model(self, user_id: str) -> Optional[_UserMobilityModel]:
         """The incrementally maintained model, when it is mature enough."""
-        if self._streaming is None or not self._stream_is_complete_for(user_id):
-            return None
         freshness = self._streaming.model_freshness(user_id)
         cached = self._streaming_served.get(user_id)
         if cached is not None and cached[0] == freshness:
@@ -489,36 +442,12 @@ class PphcrServer:
         self._streaming_served[user_id] = (freshness, model)
         return model
 
-    def _refresh_mobility_model(self, user_id: str) -> bool:
-        """Refresh one user's model for a compaction visit.
-
-        Prefers the streaming engine — a repair over the compact trip list
-        including the open tail, O(trips) instead of O(raw history) — and
-        falls back to the batch miner when the engine did not see all of
-        the user's fixes (direct tracking-store writes, streaming disabled).
-        """
-        model: Optional[_UserMobilityModel] = None
-        if self._stream_is_complete_for(user_id):
-            snapshot = self._streaming.model_snapshot(user_id, include_open_tail=True)
-            if snapshot is not None and snapshot.stay_points:
-                model = self._model_from_snapshot(snapshot)
-        if model is None:
-            try:
-                self.rebuild_mobility_model(user_id)
-            except PipelineError:
-                return False
-            return True
-        self._mobility_models[user_id] = model
-        self._bus.publish(
-            "tracking.model_rebuilt",
-            {
-                "user_id": user_id,
-                "trips": model.trip_count,
-                "stay_points": len(model.stay_points),
-                "clusters": len(model.clusters),
-                "source": "streaming",
-            },
-        )
+    def _refresh_for_compaction(self, user_id: str) -> bool:
+        """The compactor's callback: False when the user has too few fixes."""
+        try:
+            self.refresh_mobility_model(user_id)
+        except PipelineError:
+            return False
         return True
 
     def compact_tracking_data(
@@ -592,9 +521,9 @@ class PphcrServer:
     ) -> Dict[str, int]:
         """Run one periodic maintenance step: compact the next shard.
 
-        Successive ticks rotate round-robin through the compactor's shards,
-        so a deployment that calls this on a timer covers the whole user
-        population every ``CompactionConfig.shards`` ticks while each tick
+        Successive ticks rotate round-robin through the shards, so a
+        deployment that calls this on a timer covers the whole user
+        population every ``ShardingConfig.shards`` ticks while each tick
         only pays for one shard's dirty users — the ROADMAP's "one shard
         per worker tick" lever.  Returns the tick summary (shard compacted,
         users pruned, fixes removed).
@@ -616,7 +545,7 @@ class PphcrServer:
             }
         else:
             shard = self._maintenance_shard
-            self._maintenance_shard = (shard + 1) % self._config.compaction.shards
+            self._maintenance_shard = (shard + 1) % self.shard_count
             removed = self.compact_tracking_data(
                 keep_window_s=keep_window_s, shard=shard, budget=budget
             )
@@ -645,7 +574,7 @@ class PphcrServer:
         tracking store), the streaming mobility engine's live state and
         the editorial queue — everything a restarted process needs to
         serve *identical* recommendations and keep mining the fix stream
-        exactly where this one stopped.  Derived caches (batch mobility
+        exactly where this one stopped.  Derived caches (refreshed mobility
         models, served streaming snapshots) are deliberately excluded:
         they rebuild on demand from the captured state.
 
@@ -659,9 +588,7 @@ class PphcrServer:
             "version": 1,
             "content": self._content.snapshot(),
             "users": self._users.snapshot(),
-            "streaming": (
-                self._streaming.snapshot_state() if self._streaming is not None else None
-            ),
+            "streaming": self._streaming.snapshot_state(),
             "editorial": self._editorial.snapshot(),
             "maintenance_shard": self._maintenance_shard,
             "text_model_fitted": self._content_scorer.has_text_model,
@@ -689,6 +616,8 @@ class PphcrServer:
         """
         if not isinstance(payload, dict) or payload.get("version") != 1:
             raise PipelineError("unsupported server snapshot payload")
+        if not isinstance(payload.get("streaming"), dict):
+            raise PipelineError("server snapshot payload carries no streaming state")
         if replay_log:
             if self._durability is None:
                 raise PipelineError("replay_log requires durability to be enabled")
@@ -697,11 +626,6 @@ class PphcrServer:
                     "replay_log requires a snapshot taken with durability on "
                     "(missing wal_lsn watermark)"
                 )
-        streaming_state = payload.get("streaming")
-        if streaming_state is not None and self._streaming is None:
-            raise PipelineError(
-                "snapshot carries streaming state but streaming is disabled in this config"
-            )
         # Restored writes must not be re-logged: the WAL already holds (or
         # the checkpoint supersedes) everything the snapshot carries.
         suspended = (
@@ -712,13 +636,7 @@ class PphcrServer:
         with suspended:
             self._content.restore(payload["content"])
             self._users.restore(payload["users"])
-            if self._streaming is not None:
-                if streaming_state is None:
-                    # Snapshot from a streaming-disabled server: start clean.
-                    # The engine object itself is kept — it is wired into the
-                    # user manager's fix-listener list by reference.
-                    streaming_state = _empty_streaming_state()
-                self._streaming.restore_state(streaming_state)
+            self._streaming.restore_state(payload["streaming"])
             self._editorial.restore(payload.get("editorial", []))
             self._maintenance_shard = payload.get("maintenance_shard", 0)
             self._mobility_models = {}
@@ -767,11 +685,7 @@ class PphcrServer:
             "version": 1,
             "shard": shard,
             "users": self._users.snapshot_shard(shard),
-            "streaming": (
-                self._streaming.snapshot_shard(shard)
-                if self._streaming is not None
-                else None
-            ),
+            "streaming": self._streaming.snapshot_shard(shard),
         }
 
     def restore_shard(self, shard: int, payload: Dict) -> None:
@@ -784,6 +698,8 @@ class PphcrServer:
         """
         if not isinstance(payload, dict) or payload.get("version") != 1:
             raise PipelineError("unsupported shard snapshot payload")
+        if not isinstance(payload.get("streaming"), dict):
+            raise PipelineError("shard snapshot payload carries no streaming state")
         if not 0 <= shard < self.shard_count:
             raise PipelineError(
                 f"shard must be in [0, {self.shard_count}), got {shard}"
@@ -795,11 +711,7 @@ class PphcrServer:
         )
         with suspended:
             self._users.restore_shard(shard, payload["users"])
-            streaming_state = payload.get("streaming")
-            if self._streaming is not None:
-                if streaming_state is None:
-                    streaming_state = _empty_streaming_state()
-                self._streaming.restore_shard(shard, streaming_state)
+            self._streaming.restore_shard(shard, payload["streaming"])
             self._mobility_models = {}
             self._streaming_served = {}
         self._bus.publish(

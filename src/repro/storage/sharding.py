@@ -55,10 +55,10 @@ SNAPSHOT_VERSION = 1
 def shard_of(key: str, shards: int) -> int:
     """Stable shard assignment for a key (crc32, not salted ``hash``).
 
-    Identical to :meth:`ShardedCompactor.shard_of
-    <repro.streaming.compactor.ShardedCompactor.shard_of>` so every
-    partitioned component places a user on the same shard across
-    processes and restarts.
+    The one hash every partitioned component uses (the stores, the
+    streaming engine, and through the tracking store the compactor), so
+    all of them place a user on the same shard across processes and
+    restarts.
     """
     if shards == 1:
         return 0
@@ -70,10 +70,10 @@ class ShardingConfig:
     """How the server partitions per-user state.
 
     ``shards`` is the partition width shared by every per-user store
-    (tracking, profiles, feedback, streaming models); like the compactor's
-    shard count, changing it reshuffles every user's shard, so treat it as
-    a deployment constant — rebalancing to a new width goes through
-    snapshot/restore, which re-routes rows on load.  ``parallel`` enables
+    (tracking, profiles, feedback, streaming models), the compactor and
+    ``maintenance_tick``'s rotation; changing it reshuffles every user's
+    shard, so treat it as a deployment constant — rebalancing to a new
+    width goes through snapshot/restore, which re-routes rows on load.  ``parallel`` enables
     the per-shard worker pool (multi-user batch ingest and compaction
     dispatch one task per shard instead of running serially).
     """

@@ -1,11 +1,12 @@
 """Streaming mobility mining: incremental trip sessionization, stay-point
 and cluster maintenance, and sharded compaction.
 
-The batch pipeline (:mod:`repro.trajectory` + ``rebuild_mobility_model``)
-re-mines each user's entire GPS history on every compaction pass.  This
-package maintains the same mobility models *online*: fixes stream through
-the :class:`TripSessionizer` (gap/dwell closing rules identical to
-``split_into_trips``), completed trips fold into the
+The batch miner (:mod:`repro.trajectory`: ``split_into_trips`` +
+``stay_points_from_trips`` + ``cluster_trips``) re-mines a user's entire
+GPS history.  This package maintains the same mobility models *online* and
+is the server's only miner (the batch functions remain its test oracle):
+fixes stream through the :class:`TripSessionizer` (gap/dwell closing rules
+identical to ``split_into_trips``), completed trips fold into the
 :class:`IncrementalMobilityModel` (grid-indexed stay-point assignment and
 spawning, route-cluster maintenance through an (origin, destination)
 cluster index with signature-cached coherence, dirty/epoch drift repair),

@@ -7,20 +7,19 @@ tick.  The compactor turns the pass into incremental maintenance:
 * **dirty tracking** — the tracking store counts fixes ever added per user;
   the compactor remembers the count at its last visit and skips users whose
   counter has not moved (they are reported as *unchanged*, not re-mined);
-* **sharding** — users hash-partition into ``shards`` stable shards so a
+* **sharding** — a pass can walk one of the tracking store's shards, so a
   deployment can run one shard per tick (or per worker) and still cover the
   whole population round-robin;
 * **budgeting** — an optional per-pass cap on visited users; users over
   budget stay dirty and are reported as *deferred* for the next pass.
 
-Model refresh itself is delegated to a callback so the server can route it
-to the streaming engine (O(trips) repair) with the batch miner as fallback.
+Model refresh itself is delegated to a callback; the server routes it to
+the streaming engine (an O(trips) re-mine of the compact trip list).
 """
 
 from __future__ import annotations
 
 import time
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -33,21 +32,17 @@ from repro.storage.sharding import ShardWorkerPool
 class CompactionConfig:
     """Parameters of the compaction scheduler.
 
-    ``shards`` partitions the user population stably (see
-    :meth:`ShardedCompactor.shard_of`); changing it reshuffles every
-    user's shard, so treat it as a deployment constant.  ``keep_window_s``
-    is how much raw history survives a visit, relative to each user's
-    latest fix (the streaming models, not the raw fixes, are the durable
-    record — see ``docs/ARCHITECTURE.md``).
+    The shard layout is the tracking store's (``ShardingConfig.shards`` on
+    a server), not a setting of its own.  ``keep_window_s`` is how much raw
+    history survives a visit, relative to each user's latest fix (the
+    streaming models, not the raw fixes, are the durable record — see
+    ``docs/ARCHITECTURE.md``).
     """
 
-    shards: int = 4
     max_users_per_pass: Optional[int] = None
     keep_window_s: float = 14 * 86400.0
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise PipelineError("shards must be >= 1")
         if self.max_users_per_pass is not None and self.max_users_per_pass < 1:
             raise PipelineError("max_users_per_pass must be >= 1 when set")
         if self.keep_window_s <= 0:
@@ -66,7 +61,7 @@ class CompactionReport:
 
     ``shard_elapsed_s`` is the wall-time breakdown per shard — the time
     spent considering that shard's users, whether the pass ran serially
-    (attributed via :meth:`ShardedCompactor.shard_of`) or in parallel
+    (attributed via :meth:`TrackingStore.shard_of`) or in parallel
     (each worker times its own shard).  It is the report's only
     *timing* field: serial and parallel passes over the same state agree
     on every other field exactly, while the timings naturally differ.
@@ -91,8 +86,9 @@ class ShardedCompactor:
 
     Invariants (see ``docs/ARCHITECTURE.md`` for the surrounding flow):
 
-    * **shard stability** — ``shard_of`` hashes with crc32, not Python's
-      salted ``hash``, so a user maps to the same shard across processes
+    * **shard stability** — shards are the tracking store's partitions
+      (:func:`repro.storage.sharding.shard_of`, crc32 rather than Python's
+      salted ``hash``), so a user maps to the same shard across processes
       and restarts; running shards round-robin therefore covers the whole
       population;
     * **dirty tracking** — a user is dirty iff their
@@ -121,10 +117,6 @@ class ShardedCompactor:
         """The scheduler's parameters."""
         return self._config
 
-    def shard_of(self, user_id: str) -> int:
-        """Stable shard assignment for a user (crc32, not salted ``hash``)."""
-        return zlib.crc32(user_id.encode("utf-8")) % self._config.shards
-
     def is_dirty(self, user_id: str) -> bool:
         """Whether the user has fixes the compactor has not yet visited."""
         return self._tracking.fixes_added(user_id) != self._seen_counts.get(user_id)
@@ -140,21 +132,12 @@ class ShardedCompactor:
     def _users_in(self, shard: Optional[int]) -> List[str]:
         """The tracked users a pass over ``shard`` must consider, sorted.
 
-        When the tracking store is partitioned into the same number of
-        shards as the compactor (the server wires them identically), a
-        single-shard pass reads the owning partition directly instead of
-        filtering the whole population — the per-shard walk is O(shard),
-        not O(users).
+        A single-shard pass reads the owning partition directly, so the
+        per-shard walk is O(shard), not O(users).
         """
         if shard is None:
             return self._tracking.user_ids()
-        if self._tracking.shard_count == self._config.shards:
-            return self._tracking.user_ids_for_shard(shard)
-        return [
-            user_id
-            for user_id in self._tracking.user_ids()
-            if self.shard_of(user_id) == shard
-        ]
+        return self._tracking.user_ids_for_shard(shard)
 
     def run_pass(
         self,
@@ -185,19 +168,18 @@ class ShardedCompactor:
         window = self._config.keep_window_s if keep_window_s is None else keep_window_s
         if window <= 0:
             raise PipelineError("keep_window_s must be > 0")
-        if shard is not None and not 0 <= shard < self._config.shards:
-            raise PipelineError(
-                f"shard must be in [0, {self._config.shards}), got {shard}"
-            )
+        shards = self._tracking.shard_count
+        if shard is not None and not 0 <= shard < shards:
+            raise PipelineError(f"shard must be in [0, {shards}), got {shard}")
         cap = self._config.max_users_per_pass if budget is None else budget
         if cap is not None and cap < 1:
             raise PipelineError("budget must be >= 1 when set")
-        if parallel and shard is None and self._config.shards > 1:
+        if parallel and shard is None and shards > 1:
             return self._run_parallel(window, cap, pool)
 
         report = CompactionReport(shard=shard)
         for user_id in self._users_in(shard):
-            user_shard = shard if shard is not None else self.shard_of(user_id)
+            user_shard = shard if shard is not None else self._tracking.shard_of(user_id)
             started = time.perf_counter()
             try:
                 if not self.is_dirty(user_id):
@@ -235,7 +217,7 @@ class ShardedCompactor:
         self, window: float, cap: Optional[int], pool: Optional[ShardWorkerPool]
     ) -> CompactionReport:
         """All shards in one pass: dirty shards on workers, clean inline."""
-        shards = self._config.shards
+        shards = self._tracking.shard_count
         dirty_shards = {
             shard for shard in range(shards) if self.dirty_users(shard=shard)
         }

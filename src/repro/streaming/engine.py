@@ -39,18 +39,14 @@ STREAMING_STATE_VERSION = 2
 
 @dataclass(frozen=True)
 class StreamingConfig:
-    """Switchboard for the streaming mobility subsystem.
+    """Parameters of the streaming mobility subsystem.
 
     ``sessionizer`` and ``incremental`` carry the trip-boundary and mining
-    parameters; the server overrides ``incremental.eps_m`` with its own
-    ``stay_point_eps_m`` so the streaming and batch paths mine with
-    identical parameters — a precondition for the decision-equality
-    invariants below (see ``docs/ARCHITECTURE.md``, "Streaming-ingest
-    flow").  With ``enabled`` false the server never instantiates the
-    engine and every model request takes the batch path.
+    parameters.  The batch miner run with the same values is the reference
+    the decision-equality invariants below are stated against (see
+    ``docs/ARCHITECTURE.md``, "Streaming-ingest flow").
     """
 
-    enabled: bool = True
     sessionizer: SessionizerConfig = SessionizerConfig()
     incremental: IncrementalConfig = IncrementalConfig()
 
@@ -69,10 +65,7 @@ class StreamingMobilityEngine:
       full snapshot re-mines the compact trip list with the batch
       algorithms;
     * **monotonic observability** — ``fixes_observed`` and
-      ``observed_fix_count(user)`` only grow; comparing the latter against
-      ``TrackingStore.fixes_added`` tells callers whether this engine saw
-      every fix (fixes written directly to the store bypass it, and such
-      users must take the batch path);
+      ``observed_fix_count(user)`` only grow;
     * **bus narration** — every completed trip, online stay-point spawn and
       drift repair publishes a ``tracking.*`` message, so dashboards and
       tests can follow ingest without polling the models.
@@ -154,10 +147,7 @@ class StreamingMobilityEngine:
     def observed_fix_count(self, user_id: str) -> int:
         """Fixes this engine has consumed for a user (monotonic).
 
-        Comparing it against ``TrackingStore.fixes_added`` tells callers
-        whether the engine's model is complete for the user, or whether
-        fixes bypassed the listener (direct store writes) and a batch
-        rebuild over the raw history is required instead.
+        The server refuses to mine a model from fewer than two.
         """
         return self._observed_per_user.get(user_id, 0)
 

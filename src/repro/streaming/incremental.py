@@ -23,8 +23,8 @@ stay points are never merged or re-ranked online), so every user carries a
 dirty-trip counter and an epoch: once ``repair_every`` trips accumulate, a
 *repair* re-runs the batch miner over the user's **compact trip list**
 (never the raw fixes) and resets the drift.  A repaired model is exactly
-what ``rebuild_mobility_model`` would produce on the same trips, which the
-equivalence tests assert.
+what the batch miner produces on the same trips, which the equivalence
+tests assert.
 
 Snapshots carry each retained trip as the canonical JSON text of its point
 list.  Trips never change once folded in, so the text is encoded the first
@@ -54,16 +54,16 @@ _LINEAR_SCAN_LIMIT = 12
 class IncrementalConfig:
     """Parameters of the incremental mobility miner.
 
-    ``eps_m``, ``min_samples`` and ``assign_radius_m`` mirror the batch
-    miner's parameters — repairs re-run the batch algorithms with these
-    values, so keeping them aligned (the server copies its
-    ``stay_point_eps_m`` in) is what makes a repaired model *equal* to a
-    batch rebuild, not merely similar.  ``repair_every`` bounds drift,
-    ``max_trips_per_user`` bounds state (see ``docs/ARCHITECTURE.md``).
+    ``eps_m``, ``min_samples`` and ``assign_radius_m`` are the batch
+    miner's parameters — repairs and full snapshots re-run the batch
+    algorithms with these values, which is what makes them *equal* to a
+    batch rebuild with the same values, not merely similar.
+    ``repair_every`` bounds drift, ``max_trips_per_user`` bounds state
+    (see ``docs/ARCHITECTURE.md``).
     """
 
-    #: DBSCAN radius for stay-point formation (server passes its
-    #: ``stay_point_eps_m`` so streaming and batch agree).
+    #: DBSCAN radius for stay-point formation (``stay_points_from_trips``'s
+    #: ``eps_m``).
     eps_m: float = 300.0
     #: Observations within ``eps_m`` needed to spawn a stay point
     #: (mirrors ``stay_points_from_trips``'s ``min_samples``).

@@ -3,8 +3,8 @@
 Covers every ``/v1`` route's success *and* error paths, the middleware
 chain (auth 401s, token-bucket 429s, metrics, exception mapping), batch
 ingest parity with the single-fix path, cursor pagination, ETag/304
-revalidation, the wire-level JSON entry point, the legacy façade's
-compatibility contract, and the server's round-robin maintenance tick.
+revalidation, the wire-level JSON entry point, and the server's
+round-robin maintenance tick.
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ from repro.pipeline import (
     Gateway,
     GatewayConfig,
     PphcrServer,
-    PublicApi,
     RateLimitConfig,
     ServerConfig,
 )
 from repro.spatialdb import GpsFix
 from repro.geo import GeoPoint
-from repro.streaming.compactor import CompactionConfig
+from repro.storage.sharding import ShardingConfig
 from repro.users import UserProfile
 
 
@@ -298,7 +297,7 @@ class TestFeedbackRoutes:
         assert unknown_user.status == 404
 
     def test_validation_failure_is_400_not_404(self):
-        """Regression: the seed PublicApi mapped *every* feedback error to
+        """Regression: the seed API mapped *every* feedback error to
         404; validation failures must be 400 (the gateway's status mapper
         makes this structural)."""
         _, gateway = self.make_world()
@@ -314,13 +313,6 @@ class TestFeedbackRoutes:
             },
         )
         assert negative.status == 400
-        # Same contract through the legacy façade.
-        server, _ = self.make_world()
-        api = PublicApi(server)
-        response = api.post_feedback(
-            "alice", "clip-a", "like", timestamp_s=10.0, listened_s=-5.0
-        )
-        assert response.status == 400
 
     def test_feedback_batch_all_recorded(self):
         _, gateway = self.make_world()
@@ -689,15 +681,6 @@ class TestMiddleware:
         )
         assert revoked.status == 401
 
-    def test_facade_sends_auth_token(self):
-        server = make_server()
-        gateway = Gateway(server, GatewayConfig(require_auth=True))
-        token = gateway.auth.issue("alice")
-        api = PublicApi(server, gateway=gateway, auth_token=token)
-        assert api.get_profile("alice").ok
-        anonymous = PublicApi(server, gateway=gateway)
-        assert anonymous.get_profile("alice").status == 401
-
     def test_metrics_published_and_counted(self):
         server, gateway = make_gateway()
         gateway.request("GET", "/v1/users/alice")
@@ -819,48 +802,11 @@ class TestWireLevel:
             json.loads(body)
 
 
-class TestLegacyFacade:
-    """The v1 façade keeps the legacy response contract (and the gateway's
-    machinery — metrics, limits — applies to it transparently)."""
-
-    def test_duplicate_registration_stays_400(self):
-        api = PublicApi(PphcrServer())
-        assert api.register_user("u1", "User").status == 201
-        assert api.register_user("u1", "User").status == 400
-
-    def test_facade_requests_are_metered(self):
-        server = make_server()
-        api = PublicApi(server)
-        api.get_profile("alice")
-        api.list_services()
-        assert len(server.bus.published_messages("api.request")) == 2
-
-    def test_list_services_body_shape(self):
-        server = make_server()
-        server.content.add_service(RadioService(service_id="s1", name="One"))
-        response = PublicApi(server).list_services()
-        assert response.ok
-        assert response.body["services"][0]["service_id"] == "s1"
-        assert response.body["next_cursor"] is None
-
-    def test_list_services_returns_complete_listing(self):
-        """Legacy contract: all services, even beyond one gateway page."""
-        server = make_server()
-        gateway = Gateway(server, GatewayConfig(default_page_limit=4, max_page_limit=4))
-        for index in range(11):
-            server.content.add_service(
-                RadioService(service_id=f"svc-{index:02d}", name=f"Service {index}")
-            )
-        response = PublicApi(server, gateway=gateway).list_services()
-        assert response.ok
-        assert len(response.body["services"]) == 11
-
-
 class TestMaintenanceTick:
     def test_round_robin_covers_all_shards(self):
-        config = ServerConfig(compaction=CompactionConfig(shards=4))
+        config = ServerConfig(sharding=ShardingConfig(shards=4))
         server = PphcrServer(config=config)
-        shard_count = config.compaction.shards
+        shard_count = config.sharding.shards
         assert server.maintenance_shard == 0
         seen = []
         for _ in range(shard_count + 1):
@@ -869,7 +815,7 @@ class TestMaintenanceTick:
         assert server.maintenance_shard == 1
 
     def test_tick_compacts_only_its_shard(self):
-        config = ServerConfig(compaction=CompactionConfig(shards=2))
+        config = ServerConfig(sharding=ShardingConfig(shards=2))
         server = PphcrServer(config=config)
         users = [f"user-{index}" for index in range(8)]
         for user_id in users:
@@ -880,7 +826,7 @@ class TestMaintenanceTick:
                 )
         by_shard = {0: set(), 1: set()}
         for user_id in users:
-            by_shard[server.compactor.shard_of(user_id)].add(user_id)
+            by_shard[server.users.shard_of(user_id)].add(user_id)
         # Two ticks cover both shards; each pass reports only its shard.
         first = server.maintenance_tick()
         second = server.maintenance_tick()

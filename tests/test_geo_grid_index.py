@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import GeometryError, NotFoundError
 from repro.geo import BoundingBox, GeoPoint, GridIndex
-from repro.geo.geodesy import destination_point
+from repro.geo.geodesy import destination_point, haversine_m
 
 CENTER = GeoPoint(45.07, 7.68)
 
@@ -134,6 +134,21 @@ class TestGridIndexHighLatitude:
         box = BoundingBox.around(HIGH_LAT_CENTER, 1000.0)
         assert index.query_bbox(box) == ["inside"]
 
+    @pytest.mark.parametrize("lat, radius_m", [(85.0, 100000.0), (88.0, 50000.0)])
+    def test_finds_the_widest_longitude_of_the_disc(self, lat, radius_m):
+        """The disc's farthest-east point lies poleward of its centre, at a
+        longitude offset of asin(sin(rho) / cos(lat)), past r / cos(lat)."""
+        center = GeoPoint(lat, 10.0)
+        widest = max(
+            (destination_point(center, tenth / 10.0, radius_m * 0.999) for tenth in range(1800)),
+            key=lambda point: point.lon,
+        )
+        index = GridIndex(cell_size_m=1000.0)
+        index.insert("widest", widest)
+        assert [name for name, _d in index.query_radius(center, radius_m)] == ["widest"]
+        nearest = index.nearest(center, max_radius_m=radius_m)
+        assert nearest is not None and nearest[0] == "widest"
+
     def test_nearest_east_match(self):
         index = GridIndex(cell_size_m=500.0)
         index.insert("due-east", destination_point(HIGH_LAT_CENTER, 90.0, 9000.0))
@@ -190,3 +205,51 @@ class TestGridIndexNearestExpansion:
         # The single stored item sits in a single cell: visiting every ring
         # exactly once means exactly one distance evaluation.
         assert calls["count"] == 1
+
+
+class TestGridIndexSeams:
+    """Cells neither wrap at ±180° nor meet over the poles: a query whose
+    cell window reaches either seam must still find every match."""
+
+    def test_query_radius_across_the_antimeridian(self):
+        index = GridIndex()
+        index.insert("west", GeoPoint(10.0, -179.9999))
+        hits = index.query_radius(GeoPoint(10.0, 179.9999), 100.0)
+        assert [name for name, _d in hits] == ["west"]
+        assert hits[0][1] == pytest.approx(21.9, abs=0.1)
+
+    def test_nearest_over_the_pole(self):
+        index = GridIndex()
+        index.insert("across", GeoPoint(89.9, 0.0))
+        nearest = index.nearest(GeoPoint(89.9, 180.0), max_radius_m=30000.0)
+        assert nearest is not None and nearest[0] == "across"
+        assert nearest[1] == pytest.approx(22239.0, rel=1e-3)
+
+    def test_matches_brute_force_at_the_seams(self, seeded_rng):
+        rng = seeded_rng.fork("grid-seams")
+        for trial in range(90):
+            if trial % 3 == 0:  # astride the antimeridian
+                center = GeoPoint(
+                    rng.uniform(-80.0, 80.0), rng.choice([-1.0, 1.0]) * rng.uniform(179.9, 180.0)
+                )
+            else:  # next to, or on, a pole
+                center = GeoPoint(
+                    rng.choice([-1.0, 1.0]) * rng.uniform(89.8, 90.0), rng.uniform(-180.0, 180.0)
+                )
+            index = GridIndex(cell_size_m=rng.choice([250.0, 1000.0]))
+            positions = {}
+            for number in range(12):
+                position = destination_point(
+                    center, rng.uniform(0.0, 360.0), rng.uniform(0.0, 8000.0)
+                )
+                positions[f"item-{number}"] = position
+                index.insert(f"item-{number}", position)
+            distances = {name: haversine_m(center, p) for name, p in positions.items()}
+            radius = rng.uniform(100.0, 6000.0)
+            hits = index.query_radius(center, radius)
+            assert sorted(name for name, _d in hits) == sorted(
+                name for name, distance in distances.items() if distance <= radius
+            )
+            within = [d for d in distances.values() if d <= radius]
+            nearest = index.nearest(center, max_radius_m=radius)
+            assert (nearest[1] if nearest else None) == (min(within) if within else None)

@@ -5,7 +5,7 @@ import pytest
 from repro.asr import SyntheticNewsCorpus
 from repro.content import AudioClip, ContentKind
 from repro.errors import PipelineError
-from repro.pipeline import MessageBus, PphcrServer, PublicApi, ServerConfig
+from repro.pipeline import Gateway, MessageBus, PphcrServer, ServerConfig
 from repro.users import UserProfile
 
 
@@ -111,7 +111,7 @@ class TestServerMobilityAndRecommendation:
     def test_rebuild_mobility_model(self, small_world):
         server = small_world.server
         user_id = small_world.commuters[0].user_id
-        model = server.rebuild_mobility_model(user_id)
+        model = server.refresh_mobility_model(user_id)
         assert model.trip_count >= 2
         assert model.stay_points
         assert server.bus.published_messages("tracking.model_rebuilt")
@@ -120,7 +120,7 @@ class TestServerMobilityAndRecommendation:
         server = PphcrServer()
         server.register_user(UserProfile(user_id="u1", display_name="User"))
         with pytest.raises(PipelineError):
-            server.rebuild_mobility_model("u1")
+            server.refresh_mobility_model("u1")
 
     def test_build_context_stationary_without_recent_fixes(self, small_world):
         server = small_world.server
@@ -185,58 +185,74 @@ class TestServerMobilityAndRecommendation:
 
 class TestPublicApi:
     def test_register_and_get_profile(self):
-        api = PublicApi(PphcrServer())
-        response = api.register_user("u1", "Greg", age=40)
+        api = Gateway(PphcrServer())
+        response = api.request(
+            "POST", "/v1/users", body={"user_id": "u1", "display_name": "Greg", "age": 40}
+        )
         assert response.status == 201
-        duplicate = api.register_user("u1", "Greg")
-        assert duplicate.status == 400
-        profile = api.get_profile("u1")
+        duplicate = api.request(
+            "POST", "/v1/users", body={"user_id": "u1", "display_name": "Greg"}
+        )
+        assert duplicate.status == 409
+        profile = api.request("GET", "/v1/users/u1")
         assert profile.ok
         assert profile.body["display_name"] == "Greg"
-        assert api.get_profile("ghost").status == 404
+        assert api.request("GET", "/v1/users/ghost").status == 404
+
+    @staticmethod
+    def _feedback(api, user_id, clip_id, kind):
+        return api.request(
+            "POST",
+            "/v1/feedback",
+            body={"user_id": user_id, "content_id": clip_id, "kind": kind, "timestamp_s": 1000.0},
+        )
 
     def test_feedback_endpoint(self, small_world):
-        api = PublicApi(small_world.server)
+        api = Gateway(small_world.server)
         user_id = small_world.commuters[0].user_id
         clip_id = small_world.server.content.clips()[0].clip_id
-        ok = api.post_feedback(user_id, clip_id, "like", timestamp_s=1000.0)
+        ok = self._feedback(api, user_id, clip_id, "like")
         assert ok.status == 201
-        bad_kind = api.post_feedback(user_id, clip_id, "loved-it", timestamp_s=1000.0)
+        bad_kind = self._feedback(api, user_id, clip_id, "loved-it")
         assert bad_kind.status == 400
-        unknown_user = api.post_feedback("ghost", clip_id, "like", timestamp_s=1000.0)
+        unknown_user = self._feedback(api, "ghost", clip_id, "like")
         assert unknown_user.status == 404
 
     def test_location_endpoint(self, small_world):
-        api = PublicApi(small_world.server)
+        api = Gateway(small_world.server)
         user_id = small_world.commuters[0].user_id
         latest = small_world.server.users.tracking.latest_fix(user_id).timestamp_s
-        ok = api.post_location(user_id, lat=45.07, lon=7.68, timestamp_s=latest + 10.0)
+        fix = {"user_id": user_id, "lat": 45.07, "lon": 7.68, "timestamp_s": latest + 10.0}
+        ok = api.request("POST", "/v1/tracking", body=fix)
         assert ok.status == 202
-        bad = api.post_location(user_id, lat=123.0, lon=7.68, timestamp_s=latest + 20.0)
+        bad = api.request(
+            "POST", "/v1/tracking", body={**fix, "lat": 123.0, "timestamp_s": latest + 20.0}
+        )
         assert bad.status == 400
 
     def test_services_and_clip_endpoints(self, small_world):
-        api = PublicApi(small_world.server)
-        services = api.list_services()
+        api = Gateway(small_world.server)
+        services = api.request("GET", "/v1/services")
         assert services.ok
         assert len(services.body["services"]) == 10
         clip_id = small_world.server.content.clips()[0].clip_id
-        clip = api.get_clip(clip_id)
+        clip = api.request("GET", f"/v1/clips/{clip_id}")
         assert clip.ok and clip.body["clip_id"] == clip_id
-        assert api.get_clip("ghost").status == 404
+        assert api.request("GET", "/v1/clips/ghost").status == 404
 
     def test_recommendations_endpoint(self, small_world):
-        api = PublicApi(small_world.server)
+        api = Gateway(small_world.server)
         commuter = small_world.commuters[5]
         drive = small_world.commuter_generator.live_drive(commuter, day=small_world.today)
         observe = drive.departure_s + 240.0
         small_world.server.users.ingest_fixes(drive.fixes(until_s=observe), skip_stale=True)
-        response = api.get_recommendations(commuter.user_id, now_s=observe)
+        query = {"now_s": repr(observe)}
+        response = api.request("GET", f"/v1/recommendations/{commuter.user_id}", query=query)
         assert response.ok
         assert "proactive" in response.body
         if response.body["proactive"]:
             assert response.body["items"]
             first = response.body["items"][0]
             assert {"clip_id", "title", "duration_s", "score"} <= set(first)
-        missing = api.get_recommendations("ghost", now_s=observe)
+        missing = api.request("GET", "/v1/recommendations/ghost", query=query)
         assert missing.status == 404

@@ -17,6 +17,7 @@ import pytest
 from repro.datasets import BroadcasterConfig, CommuterConfig, WorldConfig, build_world
 from repro.errors import PipelineError, ValidationError
 from repro.geo import GeoPoint
+from repro.loadgen.invariants import state_fingerprint
 from repro.pipeline.server import PphcrServer
 from repro.roadnet import CityGeneratorConfig
 from repro.spatialdb import GpsFix, TrackingStore
@@ -171,6 +172,28 @@ class TestServerRoundTrip:
         fresh = PphcrServer(config=warmed_world.server.config)
         with pytest.raises(PipelineError):
             fresh.restore_snapshot({"version": 99})
+
+    def test_payload_without_streaming_state_rejected_up_front(self, warmed_world):
+        """No streaming dict, no restore: the check runs before anything is
+        loaded, so the target's state fingerprint does not move."""
+        world = warmed_world
+        target = restored_copy(world)
+        commuter = world.commuters[3]
+        drive = world.commuter_generator.live_drive(commuter, day=world.today)
+        fixes = list(drive.fixes())
+        # Diverge from the payload, so a partial restore would show.
+        target.users.ingest_fixes(fixes, skip_stale=True)
+        user_ids = sorted(target.users.user_ids())
+        now_s = fixes[-1].timestamp_s
+        before = state_fingerprint(target, user_ids=user_ids, now_s=now_s)
+        with pytest.raises(PipelineError):
+            target.restore_snapshot({**world.server.snapshot(), "streaming": None})
+        shard = target.users.shard_of(commuter.user_id)
+        with pytest.raises(PipelineError):
+            target.restore_shard(
+                shard, {**world.server.snapshot_shard(shard), "streaming": None}
+            )
+        assert state_fingerprint(target, user_ids=user_ids, now_s=now_s) == before
 
     def test_crash_mid_drive_restore_and_tail_replay_matches_uninterrupted(
         self, warmed_world

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import ALL_RULES, Baseline, run_analysis, tooling_summary
+from repro.analysis import ALL_RULES, Baseline, run_analysis
 from repro.analysis.baseline import DEFAULT_BASELINE_NAME
 from repro.analysis.cli import main
 from repro.analysis.engine import SUPPRESSION_RULE
@@ -824,8 +824,3 @@ class TestRealTree:
         assert result.ok, "\n".join(
             f"{f.path}:{f.line} [{f.rule}] {f.message}" for f in result.new
         )
-
-    def test_tooling_summary_reports_the_catalogue(self):
-        summary = tooling_summary()
-        assert summary["rules"] == len(ALL_RULES)
-        assert summary["baseline"] is not None

@@ -21,8 +21,8 @@ def drive_fixes(user_id, start_s, *, origin=None, points=12, step_s=20.0):
     return fixes
 
 
-def make_store(user_ids, *, days=3):
-    store = TrackingStore()
+def make_store(user_ids, *, days=3, shards=1):
+    store = TrackingStore(shards=shards)
     for user_id in user_ids:
         for day in range(days):
             store.add_fixes(drive_fixes(user_id, day * 86400.0))
@@ -34,8 +34,7 @@ class TestShardedCompactor:
         store = make_store(["u1", "u2", "u3"])
         refreshed = []
         compactor = ShardedCompactor(
-            store, lambda user_id: refreshed.append(user_id) or True,
-            config=CompactionConfig(shards=1),
+            store, lambda user_id: refreshed.append(user_id) or True
         )
         first = compactor.run_pass(keep_window_s=86400.0)
         assert first.visited_users == ["u1", "u2", "u3"]
@@ -51,7 +50,7 @@ class TestShardedCompactor:
 
     def test_new_fixes_re_dirty_only_that_user(self):
         store = make_store(["u1", "u2"])
-        compactor = ShardedCompactor(store, lambda user_id: True, config=CompactionConfig(shards=1))
+        compactor = ShardedCompactor(store, lambda user_id: True)
         compactor.run_pass(keep_window_s=86400.0)
         store.add_fixes(drive_fixes("u2", 10 * 86400.0))
         assert compactor.dirty_users() == ["u2"]
@@ -61,8 +60,8 @@ class TestShardedCompactor:
 
     def test_shards_partition_the_population(self):
         users = [f"user-{index:03d}" for index in range(20)]
-        store = make_store(users, days=1)
-        compactor = ShardedCompactor(store, lambda user_id: True, config=CompactionConfig(shards=4))
+        store = make_store(users, days=1, shards=4)
+        compactor = ShardedCompactor(store, lambda user_id: True)
         by_shard = [compactor.dirty_users(shard=shard) for shard in range(4)]
         flattened = [user for shard_users in by_shard for user in shard_users]
         assert sorted(flattened) == users  # disjoint cover
@@ -73,16 +72,10 @@ class TestShardedCompactor:
         assert sorted(visited) == users
         assert compactor.dirty_users() == []
 
-    def test_shard_assignment_is_stable(self):
-        store = make_store(["alpha"])
-        a = ShardedCompactor(store, lambda u: True, config=CompactionConfig(shards=8))
-        b = ShardedCompactor(store, lambda u: True, config=CompactionConfig(shards=8))
-        assert a.shard_of("alpha") == b.shard_of("alpha")
-
     def test_budget_defers_overflow_to_next_pass(self):
         users = [f"user-{index}" for index in range(5)]
         store = make_store(users, days=1)
-        compactor = ShardedCompactor(store, lambda user_id: True, config=CompactionConfig(shards=1))
+        compactor = ShardedCompactor(store, lambda user_id: True)
         first = compactor.run_pass(keep_window_s=86400.0, budget=2)
         assert len(first.visited_users) == 2
         assert first.deferred_users == 3
@@ -95,7 +88,7 @@ class TestShardedCompactor:
 
     def test_refresh_failure_counts_as_skipped_and_spares_fixes(self):
         store = make_store(["u1"])
-        compactor = ShardedCompactor(store, lambda user_id: False, config=CompactionConfig(shards=1))
+        compactor = ShardedCompactor(store, lambda user_id: False)
         report = compactor.run_pass(keep_window_s=1.0)
         assert report.skipped_users == 1
         assert report.removed == {}
@@ -104,7 +97,7 @@ class TestShardedCompactor:
 
     def test_tightened_window_still_prunes_clean_users(self):
         store = make_store(["u1"], days=10)
-        compactor = ShardedCompactor(store, lambda user_id: True, config=CompactionConfig(shards=1))
+        compactor = ShardedCompactor(store, lambda user_id: True)
         first = compactor.run_pass(keep_window_s=14 * 86400.0)
         assert first.fixes_removed == 0
         # No new fixes, but the retention window shrank: data must still go.
@@ -118,7 +111,7 @@ class TestShardedCompactor:
         store = make_store(["u1"], days=10)
         compactor = ShardedCompactor(
             store, lambda user_id: True,
-            config=CompactionConfig(shards=1, keep_window_s=86400.0),
+            config=CompactionConfig(keep_window_s=86400.0),
         )
         report = compactor.run_pass()  # no explicit window
         assert report.fixes_removed > 0
@@ -126,8 +119,8 @@ class TestShardedCompactor:
         assert store.earliest_fix("u1").timestamp_s >= latest - 86400.0
 
     def test_validation(self):
-        store = make_store(["u1"])
-        compactor = ShardedCompactor(store, lambda user_id: True, config=CompactionConfig(shards=2))
+        store = make_store(["u1"], shards=2)
+        compactor = ShardedCompactor(store, lambda user_id: True)
         with pytest.raises(PipelineError):
             compactor.run_pass(keep_window_s=0.0)
         with pytest.raises(PipelineError):
@@ -135,7 +128,7 @@ class TestShardedCompactor:
         with pytest.raises(PipelineError):
             compactor.run_pass(budget=0)
         with pytest.raises(PipelineError):
-            CompactionConfig(shards=0)
+            CompactionConfig(max_users_per_pass=0)
 
 
 class TestServerCompactionWiring:
@@ -171,12 +164,11 @@ class TestServerCompactionWiring:
             model = server.mobility_model(f"commuter-{index}")
             assert model.stay_points
         rebuilt = server.bus.published_messages("tracking.model_rebuilt")
-        assert rebuilt and all(m.body.get("source") == "streaming" for m in rebuilt)
+        assert sorted(m.body["user_id"] for m in rebuilt) == ["commuter-0", "commuter-1"]
 
     def test_sharded_passes_cover_all_users(self):
         server = self._server_with_users(count=4)
-        shards = server.config.compaction.shards
         visited = {}
-        for shard in range(shards):
+        for shard in range(server.shard_count):
             visited.update(server.compact_tracking_data(keep_window_s=86400.0, shard=shard))
         assert sorted(visited) == [f"commuter-{index}" for index in range(4)]

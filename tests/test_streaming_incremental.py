@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.datasets import build_world
 from repro.geo import GeoPoint
 from repro.geo.geodesy import destination_point
 from repro.pipeline import PphcrServer
@@ -13,6 +14,8 @@ from repro.streaming import (
     IncrementalMobilityModel,
     StreamingMobilityEngine,
 )
+from repro.trajectory import Trajectory, cluster_trips, split_into_trips
+from repro.trajectory.staypoints import stay_points_from_trips
 from repro.users import UserProfile
 
 
@@ -37,6 +40,17 @@ def cluster_key(cluster):
         cluster.destination_stay_point,
         [trip_key(trip) for trip in cluster.trips],
     )
+
+
+def batch_oracle(server, user_id):
+    """The batch miner over the user's stored fixes: ``(trips, stay points,
+    clusters)`` mined with the server's streaming parameters."""
+    fixes = server.users.tracking.fixes_for(user_id)
+    trips = split_into_trips(Trajectory.from_fixes(user_id, fixes))
+    eps_m = server.streaming.config.incremental.eps_m
+    stay_points = stay_points_from_trips(trips, eps_m=eps_m) if trips else []
+    clusters = cluster_trips(trips, stay_points) if stay_points else []
+    return trips, stay_points, clusters
 
 
 def commute_history(user_id, *, days=6, seed=0, anchors=2):
@@ -90,9 +104,9 @@ def _bearing(a, b):
 class TestIncrementalEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_repaired_stream_model_equals_batch_rebuild(self, seed):
-        """Satellite: replaying a fix stream through sessionizer + incremental
-        model yields the same trips, stay points and clusters as
-        ``rebuild_mobility_model`` over the full history."""
+        """Replaying a fix stream through sessionizer + incremental model
+        yields the same trips, stay points and clusters as the batch miner
+        over the full history."""
         server = PphcrServer()
         user_id = f"commuter-{seed}"
         server.register_user(UserProfile(user_id=user_id, display_name="C"))
@@ -101,24 +115,20 @@ class TestIncrementalEquivalence:
         # Stream the history through the server's ingestion path (the
         # engine listens on the user manager), then take the full snapshot.
         server.users.ingest_fixes(fixes)
-        engine = server.streaming
-        assert engine is not None
-        streamed = engine.model_snapshot(user_id, include_open_tail=True)
+        streamed = server.streaming.model_snapshot(user_id, include_open_tail=True)
 
         # The batch reference over the very same raw history.
-        batch = server.rebuild_mobility_model(user_id)
+        trips, stay_points, clusters = batch_oracle(server, user_id)
 
-        assert streamed.trip_count == batch.trip_count
+        assert streamed.trip_count == len(trips)
         assert [stay_point_key(sp) for sp in streamed.stay_points] == [
-            stay_point_key(sp) for sp in batch.stay_points
+            stay_point_key(sp) for sp in stay_points
         ]
         assert [cluster_key(c) for c in streamed.clusters] == [
-            cluster_key(c) for c in batch.clusters
+            cluster_key(c) for c in clusters
         ]
 
     def test_streamed_trips_equal_batch_trips(self):
-        from repro.trajectory.model import Trajectory, split_into_trips
-
         user_id = "commuter-t"
         fixes = commute_history(user_id, days=4, seed=7)
         engine = StreamingMobilityEngine()
@@ -146,16 +156,16 @@ class TestIncrementalEquivalence:
         server = PphcrServer()
         server.register_user(UserProfile(user_id=user_id, display_name="C"))
         server.users.ingest_fixes(fixes)
-        batch = server.rebuild_mobility_model(user_id)
+        _trips, stay_points, clusters = batch_oracle(server, user_id)
 
-        assert len(online.stay_points) == len(batch.stay_points)
+        assert len(online.stay_points) == len(stay_points)
         eps = engine.model.config.eps_m
         for stay_point in online.stay_points:
             assert any(
-                stay_point.center.distance_m(ref.center) <= eps for ref in batch.stay_points
+                stay_point.center.distance_m(ref.center) <= eps for ref in stay_points
             )
         assert sorted(c.support for c in online.clusters) == sorted(
-            c.support for c in batch.clusters
+            c.support for c in clusters
         )
 
 
@@ -289,45 +299,31 @@ class TestServerStreamingIntegration:
         user_id = "commuter-live"
         server.register_user(UserProfile(user_id=user_id, display_name="C"))
         server.users.ingest_fixes(commute_history(user_id, days=5, seed=21))
-        # No rebuild_mobility_model call: the model is served from the stream.
+        # No refresh_mobility_model call: the model is served from the stream.
         model = server.mobility_model(user_id)
         assert model.trip_count >= server.config.min_trips_for_model
         assert model.stay_points
         assert model.clusters
         assert not server.bus.published_messages("tracking.model_rebuilt")
 
-    def test_direct_store_writes_force_batch_path(self):
-        """Fixes bypassing the ingestion listeners must not be lost: the
-        server detects the engine's incomplete view and re-mines from the
-        raw history instead of serving/caching the streaming model."""
-        server = PphcrServer()
-        user_id = "commuter-direct"
-        server.register_user(UserProfile(user_id=user_id, display_name="C"))
-        fixes = commute_history(user_id, days=5, seed=41)
-        split = len(fixes) // 2
-        server.users.ingest_fixes(fixes[:split])  # engine sees these
-        server.users.tracking.add_fixes(fixes[split:])  # engine never sees these
-        model = server.mobility_model(user_id)
-        # The batch path ran (its event carries source=batch) and the model
-        # covers the full history, not just the streamed half.
-        rebuilt = server.bus.published_messages("tracking.model_rebuilt")
-        assert rebuilt and rebuilt[-1].body["source"] == "batch"
-        reference = server.rebuild_mobility_model(user_id)
-        assert model.trip_count == reference.trip_count
+    def test_refresh_equals_batch_oracle_for_every_small_world_commuter(
+        self, small_world
+    ):
+        """The model a built world serves is the batch miner's, exactly.
 
-    def test_streaming_disabled_falls_back_to_batch(self):
-        from dataclasses import replace
-
-        from repro.pipeline.server import ServerConfig
-        from repro.streaming import StreamingConfig
-
-        config = ServerConfig(streaming=StreamingConfig(enabled=False))
-        server = PphcrServer(config=config)
-        assert server.streaming is None
-        user_id = "commuter-b"
-        server.register_user(UserProfile(user_id=user_id, display_name="C"))
-        server.users.ingest_fixes(commute_history(user_id, days=4, seed=31))
-        model = server.mobility_model(user_id)
-        assert model.stay_points
-        assert server.bus.published_messages("tracking.model_rebuilt")
-        assert replace is not None  # silence unused-import linters
+        A private copy of the shared world: other tests ingest live fixes
+        into ``small_world``, which would move the oracle past the model
+        the world's bulk load cached.
+        """
+        world = build_world(small_world.config)
+        server = world.server
+        for commuter in world.commuters:
+            model = server.mobility_model(commuter.user_id)
+            trips, stay_points, clusters = batch_oracle(server, commuter.user_id)
+            assert model.trip_count == len(trips)
+            assert [stay_point_key(sp) for sp in model.stay_points] == [
+                stay_point_key(sp) for sp in stay_points
+            ]
+            assert [cluster_key(c) for c in model.clusters] == [
+                cluster_key(c) for c in clusters
+            ]
