@@ -1,7 +1,7 @@
 """Shared fixtures and result recording for the benchmark harness.
 
 Every benchmark regenerates one of the paper's figures/scenarios or one of
-its qualitative claims (see DESIGN.md, "Per-experiment index").  Besides the
+its qualitative claims (see ``benchmarks/README.md``).  Besides the
 pytest-benchmark timing, each bench writes the rows/series it regenerated to
 ``benchmarks/results/<experiment>.txt`` so the reproduced "table" can be
 inspected after the run, and attaches the headline numbers to

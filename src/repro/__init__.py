@@ -7,8 +7,9 @@ live audio with context-relevant clips, driven by the listener's location,
 trajectory, predicted destination and travel time, and learned content
 preferences.
 
-The public API is organised by subsystem (see ``DESIGN.md`` for the full
-inventory); the names re-exported here are the ones most applications need:
+The public API is organised by subsystem (see the "Paper section → package
+map" in ``README.md`` for the full inventory); the names re-exported here are
+the ones most applications need:
 
 * build a synthetic world and server: :func:`repro.datasets.build_world`,
   :class:`repro.pipeline.PphcrServer`;

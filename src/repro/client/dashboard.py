@@ -194,15 +194,14 @@ class ControlDashboard:
         ]
         return [database.stats() for database in databases]
 
-    def ops_report(self, gateway=None, *, telemetry=None) -> OpsReport:
-        """The operations panel: storage, API-gateway and telemetry counters.
+    def ops_report(self, *, telemetry=None) -> OpsReport:
+        """The operations panel: storage and telemetry counters.
 
-        ``gateway`` is any object with a ``metrics_snapshot()`` (the public
-        API gateway); without one the report covers storage only.
         ``telemetry`` is the server's :class:`~repro.obs.telemetry.Telemetry`
         bundle — when given (and enabled), the report also carries the
-        metrics registry's snapshot and the slow-query log, the same
-        payloads ``GET /v1/ops/metrics`` / ``/v1/ops/traces`` expose.
+        metrics registry's snapshot (API-gateway request counts included)
+        and the slow-query log, the same payloads ``GET /v1/ops/metrics`` /
+        ``/v1/ops/traces`` expose; without it the report covers storage only.
         """
         metrics = None
         slow_queries = None
@@ -210,19 +209,15 @@ class ControlDashboard:
             metrics = telemetry.metrics_snapshot()
             slow_queries = telemetry.slow_queries.entries()
         return OpsReport(
-            storage=self.storage_report(),
-            gateway=gateway.metrics_snapshot() if gateway is not None else None,
-            metrics=metrics,
-            slow_queries=slow_queries,
+            storage=self.storage_report(), metrics=metrics, slow_queries=slow_queries
         )
 
 
 @dataclass(frozen=True)
 class OpsReport:
-    """Storage-engine plus API-gateway counters for the ops panel."""
+    """Storage-engine plus telemetry counters for the ops panel."""
 
     storage: List[Dict[str, object]]
-    gateway: Optional[Dict[str, object]] = None
     #: The metrics registry's :meth:`snapshot` payload (None when the
     #: report was built without telemetry or with it disabled).
     metrics: Optional[Dict[str, object]] = None
@@ -254,13 +249,17 @@ class OpsReport:
                         f"{shard_stats['index_hits']} index hits, "
                         f"{shard_stats['scans']} scans"
                     )
-        if self.gateway is not None:
-            requests = self.gateway.get("requests", 0)
-            lines.append(f"api gateway: {requests} requests")
-            by_status = self.gateway.get("by_status", {})
-            for status in sorted(by_status):
-                lines.append(f"  {status}: {by_status[status]}")
         if self.metrics is not None:
+            counters = self.metrics.get("counters", {})
+            requests = counters.get("api_requests_total", {}).get("series", [])
+            if requests:
+                by_class: Dict[str, int] = {}
+                for entry in requests:
+                    status_class = entry["labels"].get("status_class", "?")
+                    by_class[status_class] = by_class.get(status_class, 0) + int(entry["value"])
+                lines.append(f"api gateway: {sum(by_class.values())} requests")
+                for status_class in sorted(by_class):
+                    lines.append(f"  {status_class}: {by_class[status_class]}")
             histograms = self.metrics.get("histograms", {})
             latency = histograms.get("api_request_seconds", {})
             series = latency.get("series", [])
@@ -272,7 +271,6 @@ class OpsReport:
                         f"{entry['p50'] * 1000:.2f}/{entry['p95'] * 1000:.2f}"
                         f"/{entry['p99'] * 1000:.2f} ({entry['count']} requests)"
                     )
-            counters = self.metrics.get("counters", {})
             dead = counters.get("bus_dead_letters_total", {})
             total_dead = sum(entry["value"] for entry in dead.get("series", []))
             if total_dead:

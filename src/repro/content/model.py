@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional
 
 from repro.content.categories import category_by_name
@@ -96,9 +97,12 @@ class AudioClip:
         if self.size_bytes < 0:
             raise ValidationError(f"size_bytes must be >= 0, got {self.size_bytes}")
 
-    @property
+    @cached_property
     def primary_category(self) -> Optional[str]:
-        """The highest-scoring category, if any."""
+        """The highest-scoring category, if any (the first listed on a tie).
+
+        Cached per clip: nothing mutates ``category_scores`` in place.
+        """
         if not self.category_scores:
             return None
         return max(self.category_scores.items(), key=lambda pair: pair[1])[0]

@@ -8,7 +8,7 @@ with a declarative subsystem:
   (method, path template, handler, request schema) registered in
   :meth:`Gateway._register_routes`;
 * a **middleware chain** — auth token check, per-user token-bucket rate
-  limiting, request metrics on the :class:`~repro.pipeline.messaging.MessageBus`
+  limiting, request latency and status counts in the telemetry registry
   and a single exception→status mapper (see
   :mod:`repro.pipeline.gateway.middleware`);
 * **batch ingest** — ``POST /v1/tracking/batch`` carries a buffered drive's
@@ -129,7 +129,6 @@ class GatewayConfig:
     default_page_limit: int = 50
     max_page_limit: int = 200
     recommendation_ttl_s: float = 60.0
-    metrics_topic: str = "api.request"
     clock: Optional[Callable[[], float]] = None
 
 
@@ -149,23 +148,20 @@ class Gateway:
         self._routes = RouteTable()
         self._register_routes()
         self._telemetry = server.telemetry
-        self._metrics = MetricsMiddleware(
-            server.bus,
-            topic=config.metrics_topic,
-            registry=self._telemetry.metrics if self._telemetry.enabled else None,
-        )
-        self._rate_limiter = RateLimitMiddleware(config.rate_limit, clock=config.clock)
         middlewares = [
-            self._metrics,
             ExceptionMapperMiddleware(),
             AuthMiddleware(self._auth, required=config.require_auth),
-            self._rate_limiter,
+            RateLimitMiddleware(config.rate_limit, clock=config.clock),
         ]
         if self._telemetry.enabled:
-            # Outermost, so the trace covers the whole chain (including the
-            # metrics middleware's own timing) and every storage/worker span
-            # opened during dispatch attaches to the request's trace.
-            middlewares.insert(0, TracingMiddleware(self._telemetry.tracer))
+            # Tracing outermost, so the trace covers the whole chain
+            # (including the metrics middleware's own timing) and every
+            # storage/worker span opened during dispatch attaches to the
+            # request's trace.
+            middlewares[:0] = [
+                TracingMiddleware(self._telemetry.tracer),
+                MetricsMiddleware(self._telemetry.metrics),
+            ]
         handler: Callable[[RequestContext], ApiResponse] = self._dispatch
         for middleware in reversed(middlewares):
             handler = self._wrap(middleware, handler)
@@ -194,10 +190,6 @@ class Gateway:
     def routes(self) -> List[Route]:
         """The declarative route table."""
         return self._routes.routes()
-
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """Request counters since the gateway started."""
-        return self._metrics.snapshot()
 
     # Entry points ---------------------------------------------------------
 

@@ -3,9 +3,10 @@
 Middleware are callables ``(ctx, next) -> ApiResponse`` composed once at
 gateway construction; each request then flows
 
-    metrics -> exception mapper -> auth -> rate limit -> dispatch
+    [tracing -> metrics ->] exception mapper -> auth -> rate limit -> dispatch
 
-so *every* route — current and future — is metered, throttled and
+(tracing and metrics join the chain only when telemetry is enabled), so
+*every* route — current and future — is metered, throttled and
 error-mapped identically.  The exception mapper is the single place the
 :mod:`repro.errors` taxonomy turns into statuses:
 
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import (
     ClassificationError,
@@ -57,9 +58,6 @@ from repro.errors import (
 from repro.pipeline.gateway.http import ApiResponse
 from repro.pipeline.gateway.routing import RequestContext
 from repro.util.ids import new_id
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.pipeline.messaging import MessageBus
 
 Next = Callable[[RequestContext], ApiResponse]
 
@@ -197,6 +195,11 @@ class _TokenBucket:
         self.updated_s = now_s
 
 
+#: The bucket map is swept once it grows past this size (and then past twice
+#: what the last sweep kept), so sweeping is amortized O(1) per request.
+_SWEEP_MIN_BUCKETS = 256
+
+
 class RateLimitMiddleware:
     """Per-user token-bucket rate limiting.
 
@@ -205,6 +208,11 @@ class RateLimitMiddleware:
     shared anonymous bucket — so one abusive client cannot starve the rest
     even before auth is enabled.  Rejections are 429 with a ``Retry-After``
     hint derived from the refill rate.
+
+    A bucket that has refilled to capacity is dropped by the next sweep:
+    under the monotonic clock a full bucket behaves exactly like a new one,
+    so the map holds only recently active callers and no 429 decision
+    changes.
     """
 
     def __init__(
@@ -216,12 +224,7 @@ class RateLimitMiddleware:
         self._config = config
         self._clock = clock if clock is not None else time.monotonic
         self._buckets: Dict[str, _TokenBucket] = {}
-        self._rejected = 0
-
-    @property
-    def rejected_count(self) -> int:
-        """Requests rejected with 429 so far."""
-        return self._rejected
+        self._sweep_at = _SWEEP_MIN_BUCKETS
 
     @staticmethod
     def _key(ctx: RequestContext) -> str:
@@ -233,12 +236,26 @@ class RateLimitMiddleware:
             user_id = body_user if isinstance(body_user, str) else None
         return user_id if user_id is not None else "<anonymous>"
 
+    def _sweep(self, now_s: float) -> None:
+        """Drop every bucket that would read full at ``now_s``."""
+        capacity = self._config.capacity
+        refill_per_s = self._config.refill_per_s
+        self._buckets = {
+            key: bucket
+            for key, bucket in self._buckets.items()
+            if bucket.tokens + (now_s - bucket.updated_s) * refill_per_s < capacity
+        }
+        self._sweep_at = max(_SWEEP_MIN_BUCKETS, 2 * len(self._buckets))
+
     def __call__(self, ctx: RequestContext, nxt: Next) -> ApiResponse:
         now_s = self._clock()
-        bucket = self._buckets.get(self._key(ctx))
+        key = self._key(ctx)
+        bucket = self._buckets.get(key)
         if bucket is None:
+            if len(self._buckets) >= self._sweep_at:
+                self._sweep(now_s)
             bucket = _TokenBucket(self._config.capacity, now_s)
-            self._buckets[self._key(ctx)] = bucket
+            self._buckets[key] = bucket
         else:
             elapsed = now_s - bucket.updated_s
             if elapsed > 0:
@@ -248,7 +265,6 @@ class RateLimitMiddleware:
                 )
             bucket.updated_s = now_s
         if bucket.tokens < 1.0:
-            self._rejected += 1
             retry_after_s = (1.0 - bucket.tokens) / self._config.refill_per_s
             return ApiResponse(
                 status=429,
@@ -260,92 +276,49 @@ class RateLimitMiddleware:
 
 
 class MetricsMiddleware:
-    """Publishes one ``api.request`` message per request and keeps counters.
+    """Records each request's latency and status in the metrics registry.
 
-    The bus message carries route name, method, status and latency so the
-    dashboard (and tests) can follow API traffic the same way they follow
-    ingest; the in-process counters power :meth:`snapshot` without scanning
-    the bus history.
+    ``api_request_seconds{route}`` and ``api_requests_total{route,
+    status_class}`` are the gateway's only request counters: the ops
+    endpoints, the dashboard and the tests all read them.  Like
+    :class:`TracingMiddleware`, it joins the chain only when telemetry is
+    enabled.
     """
 
-    def __init__(
-        self,
-        bus: Optional["MessageBus"] = None,
-        *,
-        topic: str = "api.request",
-        registry=None,
-    ) -> None:
-        self._bus = bus
-        self._topic = topic
-        self._by_route: Dict[str, int] = {}
-        self._by_status: Dict[int, int] = {}
-        self._request_count = 0
-        self._elapsed_total_s = 0.0
-        # Registry-backed series (per-route latency histogram and
-        # status-class counter); None keeps the middleware registry-free.
+    def __init__(self, registry) -> None:
+        self._latency = registry.histogram(
+            "api_request_seconds",
+            "Gateway request latency by route",
+            labels=("route",),
+        )
+        self._statuses = registry.counter(
+            "api_requests_total",
+            "Gateway requests by route and status class",
+            labels=("route", "status_class"),
+        )
         # Resolved series are cached per route / (route, class) so the hot
         # path pays one dict lookup, not a labels() validation, per request.
-        self._latency = None
-        self._statuses = None
         self._latency_series: Dict[str, object] = {}
         self._status_series: Dict[Tuple[str, str], object] = {}
-        if registry is not None and getattr(registry, "enabled", True):
-            self._latency = registry.histogram(
-                "api_request_seconds",
-                "Gateway request latency by route",
-                labels=("route",),
-            )
-            self._statuses = registry.counter(
-                "api_requests_total",
-                "Gateway requests by route and status class",
-                labels=("route", "status_class"),
-            )
 
     def __call__(self, ctx: RequestContext, nxt: Next) -> ApiResponse:
         start = time.perf_counter()
         response = nxt(ctx)
         elapsed_s = time.perf_counter() - start
         route_name = ctx.route.name if ctx.route is not None else "<unmatched>"
-        self._request_count += 1
-        self._elapsed_total_s += elapsed_s
-        self._by_route[route_name] = self._by_route.get(route_name, 0) + 1
-        self._by_status[response.status] = self._by_status.get(response.status, 0) + 1
-        if self._latency is not None:
-            latency = self._latency_series.get(route_name)
-            if latency is None:
-                latency = self._latency.labels(route=route_name)
-                self._latency_series[route_name] = latency
-            latency.record(elapsed_s)
-            status_class = f"{response.status // 100}xx"
-            status_key = (route_name, status_class)
-            statuses = self._status_series.get(status_key)
-            if statuses is None:
-                statuses = self._statuses.labels(
-                    route=route_name, status_class=status_class
-                )
-                self._status_series[status_key] = statuses
-            statuses.inc()
-        if self._bus is not None:
-            # repro: allow[wal-channel-audit] constructor-injected topic; the default "api.request" is declared WAL-suppressed
-            self._bus.publish(
-                self._topic,
-                {
-                    "route": route_name,
-                    "method": ctx.request.method,
-                    "status": response.status,
-                    "elapsed_ms": round(elapsed_s * 1000.0, 3),
-                },
-            )
+        latency = self._latency_series.get(route_name)
+        if latency is None:
+            latency = self._latency.labels(route=route_name)
+            self._latency_series[route_name] = latency
+        latency.record(elapsed_s)
+        status_class = f"{response.status // 100}xx"
+        status_key = (route_name, status_class)
+        statuses = self._status_series.get(status_key)
+        if statuses is None:
+            statuses = self._statuses.labels(route=route_name, status_class=status_class)
+            self._status_series[status_key] = statuses
+        statuses.inc()
         return response
-
-    def snapshot(self) -> Dict[str, object]:
-        """Counters since the gateway started."""
-        return {
-            "requests": self._request_count,
-            "by_route": dict(self._by_route),
-            "by_status": dict(self._by_status),
-            "elapsed_total_ms": round(self._elapsed_total_s * 1000.0, 3),
-        }
 
 
 class TracingMiddleware:

@@ -2,7 +2,7 @@
 
 The production system wires its components with RabbitMQ; the reproduction
 uses a synchronous, deterministic bus with the same topology concepts:
-named topics, multiple subscribers per topic, and a dead-letter list for
+named topics, multiple subscribers per topic, and dead letters for
 messages that no subscriber handled or whose handler raised.
 
 Dead letters come in three flavours, recorded per event (see
@@ -14,18 +14,32 @@ is called:
 * ``handler_error`` — one handler raised (others may still have delivered);
 * ``all_handlers_failed`` — every handler raised, so the message itself is
   dead-lettered.
+
+History is bounded: the bus keeps the last :data:`HISTORY_SIZE` messages
+and, per (topic, reason), the last :data:`HISTORY_SIZE` dead-letter records,
+so a busy unsubscribed topic never pushes a rare ``handler_error`` out.
+Counts stay exact through a per-(topic, reason) tally; a consumer that needs
+every message subscribes a handler.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+import heapq
+import itertools
+import threading
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, DefaultDict, Dict, List, Optional
+from typing import Any, Callable, DefaultDict, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import PipelineError
 from repro.util.ids import new_id
 
 Handler = Callable[["Message"], None]
+
+#: Ring size of the bus's history.  At most it holds this many messages plus
+#: this many records per (topic, reason) that dead-lettered: with the tree's
+#: 15 topics unsubscribed, ~9 MB at ~600 bytes per four-field record.
+HISTORY_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -53,45 +67,50 @@ class DeadLetterRecord:
     error: Optional[str] = None
 
 
+class _DeadLetterLog:
+    """Recent records (numbered bus-wide, so rings merge back into publish
+    order) and the exact event count of one (topic, reason)."""
+
+    __slots__ = ("recent", "total", "series")
+
+    def __init__(self) -> None:
+        self.recent: Deque[Tuple[int, DeadLetterRecord]] = deque(maxlen=HISTORY_SIZE)
+        self.total = 0
+        self.series = None  # the attached registry's counter series, if any
+
+
 class MessageBus:
     """A synchronous topic-based publish/subscribe bus."""
 
     def __init__(self) -> None:
         self._subscribers: DefaultDict[str, List[Handler]] = defaultdict(list)
-        self._published: List[Message] = []
-        self._dead_letters: List[Message] = []
-        self._dead_letter_records: List[DeadLetterRecord] = []
+        self._published: Deque[Message] = deque(maxlen=HISTORY_SIZE)
+        self._dead_letter_logs: Dict[Tuple[str, str], _DeadLetterLog] = {}
+        self._sequence = itertools.count()
+        # Shard workers publish concurrently, so the tally's read-modify-write
+        # and readers' walks over the rings hold this lock.
+        self._dead_letter_lock = threading.Lock()
         self._delivery_count = 0
         self._dead_letter_counter = None  # set by attach_metrics()
-        # Resolved (topic, reason) counter series, so the publish hot path
-        # (a no-subscriber topic dead-letters every message) pays one dict
-        # lookup instead of a labels() validation per event.
-        self._dead_letter_series: Dict[Any, Any] = {}
 
     def attach_metrics(self, registry: Any) -> None:
         """Surface dead letters as ``bus_dead_letters_total{topic,reason}``.
 
         ``registry`` is a :class:`~repro.obs.metrics.MetricsRegistry` (or
         the null variant — attaching a disabled registry is a no-op
-        counter).  Records observed before attachment are replayed so the
-        counter agrees with :meth:`dead_letter_records` regardless of
-        wiring order.
+        counter).  Events observed before attachment are added from the
+        per-(topic, reason) tally, so the counter is exact regardless of
+        wiring order and of how many records the rings still hold.
         """
-        self._dead_letter_counter = registry.counter(
-            "bus_dead_letters_total",
-            help="Dead-lettered bus deliveries by topic and reason.",
-            labels=("topic", "reason"),
-        )
-        self._dead_letter_series = {}
-        for record in self._dead_letter_records:
-            self._count_dead_letter(record.topic, record.reason)
-
-    def _count_dead_letter(self, topic: str, reason: str) -> None:
-        series = self._dead_letter_series.get((topic, reason))
-        if series is None:
-            series = self._dead_letter_counter.labels(topic=topic, reason=reason)
-            self._dead_letter_series[(topic, reason)] = series
-        series.inc()
+        with self._dead_letter_lock:
+            self._dead_letter_counter = registry.counter(
+                "bus_dead_letters_total",
+                help="Dead-lettered bus deliveries by topic and reason.",
+                labels=("topic", "reason"),
+            )
+            for (topic, reason), log in self._dead_letter_logs.items():
+                log.series = self._dead_letter_counter.labels(topic=topic, reason=reason)
+                log.series.inc(log.total)
 
     def _record_dead_letter(
         self,
@@ -101,17 +120,22 @@ class MessageBus:
         handler: Optional[str] = None,
         error: Optional[str] = None,
     ) -> None:
-        self._dead_letter_records.append(
-            DeadLetterRecord(
-                message=message,
-                topic=message.topic,
-                reason=reason,
-                handler=handler,
-                error=error,
-            )
+        record = DeadLetterRecord(
+            message=message, topic=message.topic, reason=reason, handler=handler, error=error
         )
-        if self._dead_letter_counter is not None:
-            self._count_dead_letter(message.topic, reason)
+        key = (message.topic, reason)
+        with self._dead_letter_lock:
+            log = self._dead_letter_logs.get(key)
+            if log is None:
+                log = self._dead_letter_logs[key] = _DeadLetterLog()
+                if self._dead_letter_counter is not None:
+                    log.series = self._dead_letter_counter.labels(
+                        topic=message.topic, reason=reason
+                    )
+            log.recent.append((next(self._sequence), record))
+            log.total += 1
+            if log.series is not None:
+                log.series.inc()
 
     def subscribe(self, topic: str, handler: Handler) -> None:
         """Register a handler for a topic."""
@@ -125,9 +149,8 @@ class MessageBus:
             raise PipelineError("topic must be a non-empty string")
         message = Message(message_id=new_id("msg"), topic=topic, body=dict(body))
         self._published.append(message)
-        handlers = self._subscribers.get(topic, [])
+        handlers = self._subscribers.get(topic)
         if not handlers:
-            self._dead_letters.append(message)
             self._record_dead_letter(message, "no_subscriber")
             return message
         delivered = False
@@ -145,31 +168,40 @@ class MessageBus:
                 )
                 continue
         if not delivered:
-            self._dead_letters.append(message)
             self._record_dead_letter(message, "all_handlers_failed")
         return message
 
     def published_messages(self, topic: str = None) -> List[Message]:
-        """All published messages (optionally filtered by topic)."""
+        """The last :data:`HISTORY_SIZE` published messages (optionally one topic's)."""
+        recent = list(self._published)  # one atomic copy: workers may be appending
         if topic is None:
-            return list(self._published)
-        return [message for message in self._published if message.topic == topic]
+            return recent
+        return [message for message in recent if message.topic == topic]
 
     def dead_letters(self) -> List[Message]:
-        """Messages that were not successfully handled by any subscriber."""
-        return list(self._dead_letters)
+        """Recent messages that no subscriber handled, in publish order."""
+        return [
+            record.message
+            for record in self.dead_letter_records()
+            if record.reason != "handler_error"
+        ]
 
     def dead_letter_records(self, topic: str = None) -> List[DeadLetterRecord]:
-        """Per-event dead-letter records (optionally filtered by topic).
+        """Recent per-event dead-letter records in publish order (optionally one topic's).
 
         Unlike :meth:`dead_letters` — which lists *messages* no subscriber
         handled — this also records per-handler failures on messages that
         another handler did deliver, each with the failing handler's name
-        and the raised exception.
+        and the raised exception.  Each (topic, reason) keeps its last
+        :data:`HISTORY_SIZE` records.
         """
-        if topic is None:
-            return list(self._dead_letter_records)
-        return [record for record in self._dead_letter_records if record.topic == topic]
+        with self._dead_letter_lock:
+            rings = [
+                list(log.recent)
+                for (log_topic, _reason), log in self._dead_letter_logs.items()
+                if topic is None or log_topic == topic
+            ]
+        return [record for _sequence, record in heapq.merge(*rings)]
 
     def delivery_count(self) -> int:
         """Number of successful handler deliveries."""

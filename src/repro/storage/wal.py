@@ -134,11 +134,9 @@ WAL_LOGGED_TOPICS = frozenset(
 #: Topics that are notifications over *derived* or process-local state —
 #: deliberately absent from the log because replaying the logged channels
 #: rewrites (streaming/mobility models from the fix stream) or never needs
-#: (metrics, failure notices, restore banners) what they announce.
+#: (failure notices, restore banners, read-path telemetry) what they announce.
 WAL_SUPPRESSED_TOPICS = frozenset(
     {
-        # per-request metrics event from the gateway middleware.
-        "api.request",
         # streaming/mobility model updates: rebuilt by replaying fixes.
         "tracking.trip_completed",
         "tracking.staypoint_spawned",

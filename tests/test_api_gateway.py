@@ -10,6 +10,7 @@ round-robin maintenance tick.
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -17,7 +18,9 @@ import repro.errors as errors
 from repro.content import AudioClip, ContentKind
 from repro.content.model import RadioService
 from repro.errors import ValidationError
-from repro.pipeline.gateway.routing import Route
+from repro.pipeline.gateway.http import ApiRequest, ApiResponse
+from repro.pipeline.gateway.middleware import RateLimitMiddleware
+from repro.pipeline.gateway.routing import RequestContext, Route
 from repro.pipeline import (
     Gateway,
     GatewayConfig,
@@ -556,7 +559,8 @@ class TestRecommendationCaching:
         assert first.status == 200
         etag = first.header("etag")
         assert etag and etag.startswith('W/"rec-')
-        decisions_before = len(server.bus.published_messages("recommendation.decision"))
+        decisions = []
+        server.bus.subscribe("recommendation.decision", decisions.append)
         revalidated = gateway.request(
             "GET",
             f"/v1/recommendations/{commuter.user_id}",
@@ -567,7 +571,7 @@ class TestRecommendationCaching:
         assert revalidated.body == {}
         assert revalidated.header("etag") == etag
         # The 304 path never ran the recommender pipeline.
-        assert len(server.bus.published_messages("recommendation.decision")) == decisions_before
+        assert decisions == []
 
     def test_etag_invalidated_by_new_fixes(self, small_world):
         server = small_world.server
@@ -686,16 +690,80 @@ class TestMiddleware:
         gateway.request("GET", "/v1/users/alice")
         gateway.request("GET", "/v1/users/ghost")
         gateway.request("GET", "/v1/bogus")
-        messages = server.bus.published_messages("api.request")
-        assert len(messages) == 3
-        assert messages[0].body["route"] == "GET /v1/users/{user_id}"
-        assert messages[0].body["status"] == 200
-        assert messages[1].body["status"] == 404
-        assert messages[2].body["route"] == "<unmatched>"
-        snapshot = gateway.metrics_snapshot()
-        assert snapshot["requests"] == 3
-        assert snapshot["by_status"] == {200: 1, 404: 2}
-        assert snapshot["by_route"]["GET /v1/users/{user_id}"] == 2
+        # The registry is the gateway's only request counter; nothing is
+        # published on the bus per request.
+        assert server.bus.published_messages("api.request") == []
+        snapshot = server.telemetry.metrics_snapshot()
+        statuses = {
+            (entry["labels"]["route"], entry["labels"]["status_class"]): entry["value"]
+            for entry in snapshot["counters"]["api_requests_total"]["series"]
+        }
+        assert statuses == {
+            ("GET /v1/users/{user_id}", "2xx"): 1.0,
+            ("GET /v1/users/{user_id}", "4xx"): 1.0,
+            ("<unmatched>", "4xx"): 1.0,
+        }
+        latency = {
+            entry["labels"]["route"]: entry["count"]
+            for entry in snapshot["histograms"]["api_request_seconds"]["series"]
+        }
+        assert latency == {"GET /v1/users/{user_id}": 2, "<unmatched>": 1}
+
+    @staticmethod
+    def _user_context(user_id):
+        return RequestContext(
+            request=ApiRequest("GET", f"/v1/users/{user_id}"),
+            route=None,
+            path_params={"user_id": user_id},
+        )
+
+    def test_rate_limiter_forgets_refilled_buckets(self):
+        # One GET per path id of a user that does not exist, 1 ms apart on
+        # the monotonic clock: each bucket refills within 9 ms, so sweeps
+        # keep the map small instead of one entry per anonymous caller.
+        clock = {"now": 0.0}
+        limiter = RateLimitMiddleware(RateLimitConfig(), clock=lambda: clock["now"])
+        not_found = ApiResponse(status=404, body={"error": "no such user"})
+        for index in range(5000):
+            clock["now"] += 0.001
+            response = limiter(self._user_context(f"ghost-{index}"), lambda ctx: not_found)
+            assert response.status == 404
+        assert len(limiter._buckets) <= 256
+
+    def test_rate_limiter_sweeps_change_no_decision(self):
+        class NeverSweeps(RateLimitMiddleware):
+            def _sweep(self, now_s):
+                pass
+
+        rng = random.Random(20)
+        clock = {"now": 0.0}
+        config = RateLimitConfig(capacity=3.0, refill_per_s=1.0)
+        sweeping = RateLimitMiddleware(config, clock=lambda: clock["now"])
+        reference = NeverSweeps(config, clock=lambda: clock["now"])
+        ok = ApiResponse(status=200, body={})
+        hot = [f"listener-{index}" for index in range(5)]
+        warm = [f"listener-{index}" for index in range(5, 105)]
+        decisions = {"sweeping": [], "reference": []}
+        revived = 0  # requests from a caller whose bucket a sweep dropped
+        for index in range(6000):
+            clock["now"] += rng.choices(
+                (0.0, 0.001, 0.01, 0.05, 0.2, 4.0), weights=(30, 30, 20, 10, 9, 1)
+            )[0]
+            draw = rng.random()
+            if draw < 0.4:
+                user_id = rng.choice(hot)
+            elif draw < 0.7:
+                user_id = rng.choice(warm)
+            else:
+                user_id = f"ghost-{index}"
+            revived += user_id in reference._buckets and user_id not in sweeping._buckets
+            for name, limiter in (("sweeping", sweeping), ("reference", reference)):
+                response = limiter(self._user_context(user_id), lambda ctx: ok)
+                decisions[name].append((response.status, response.header("retry-after")))
+        assert decisions["sweeping"] == decisions["reference"]
+        assert sum(status == 429 for status, _ in decisions["sweeping"]) > 100
+        assert revived > 10
+        assert len(sweeping._buckets) < 256 < len(reference._buckets)
 
 
 class TestErrorTaxonomyWire:

@@ -1,5 +1,8 @@
 """Tests for categories, content entities and RadioDNS metadata."""
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.content import (
@@ -90,6 +93,23 @@ class TestAudioClip:
     def test_primary_category(self):
         assert self.make_clip().primary_category == "economics"
         assert self.make_clip(category_scores={}).primary_category is None
+
+    def test_cached_primary_category_matches_max_reference(self):
+        rng = random.Random(7)
+        names = category_names()
+        for index in range(300):
+            picked = rng.sample(names, rng.randrange(0, 6))
+            # Coarse scores so ties are common; the first listed wins a tie.
+            scores = {name: rng.choice((0.0, 0.25, 0.5, 1.0)) for name in picked}
+            clip = self.make_clip(clip_id=f"c{index}", category_scores=scores)
+            expected = max(scores.items(), key=lambda pair: pair[1])[0] if scores else None
+            assert clip.primary_category == expected
+            assert clip.primary_category == expected  # the cached read
+        tie = self.make_clip(category_scores={"technology": 0.5, "economics": 0.5})
+        assert tie.primary_category == "technology"
+        # A reclassified clip is a new instance with its own value.
+        reclassified = dataclasses.replace(tie, category_scores={"sport-football": 1.0})
+        assert (tie.primary_category, reclassified.primary_category) == ("technology", "sport-football")
 
     def test_normalized_scores_sum_to_one(self):
         scores = self.make_clip().normalized_scores()

@@ -606,15 +606,18 @@ def test_dashboard_ops_report_includes_telemetry():
     )
     _drive_mixed_workload(gateway)
     dashboard = ControlDashboard(server.users, server.content)
-    report = dashboard.ops_report(gateway, telemetry=server.telemetry)
+    report = dashboard.ops_report(telemetry=server.telemetry)
     assert report.metrics is not None
     assert report.slow_queries
     lines = report.summary_lines()
     assert any("route latency" in line for line in lines)
     assert any("slow queries" in line for line in lines)
-    # Legacy shape still works without telemetry.
-    legacy = dashboard.ops_report(gateway)
-    assert legacy.metrics is None and legacy.slow_queries is None
+    # Request counts come from the registry's api_requests_total.
+    requests = report.metrics["counters"]["api_requests_total"]["series"]
+    assert f"api gateway: {int(sum(entry['value'] for entry in requests))} requests" in lines
+    # Without telemetry the report covers storage only.
+    storage_only = dashboard.ops_report()
+    assert storage_only.metrics is None and storage_only.slow_queries is None
 
 
 # Disabled path and snapshot exclusion -------------------------------------
@@ -635,8 +638,6 @@ def test_disabled_telemetry_is_a_noop_everywhere():
     assert snapshot == {"counters": {}, "gauges": {}, "histograms": {}}
     assert server.telemetry.prometheus_text() == ""
     assert server.telemetry.tracer.recent() == []
-    # The MetricsMiddleware's own counters still work without a registry.
-    assert gateway.metrics_snapshot()["requests"] > 0
 
 
 def test_telemetry_config_validates():
