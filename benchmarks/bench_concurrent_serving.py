@@ -1,45 +1,38 @@
-"""PERF — concurrent serving: sharded parallel workers vs. one serial database.
+"""PERF — shard layouts: what 4 shards cost over 1 on the same streams.
 
 The shard router partitions every piece of per-user state (tracking
 histories, profiles, feedback, streaming models) into crc32 shards, each
-its own database with a single-writer worker thread.  This bench measures
-what that buys a *serving* deployment: mixed ingest + read traffic at the
-wire level (JSON in / JSON out via ``Gateway.handle_wire``), where every
-request also pays a fixed client-link transfer cost (``WIRE_IO_S``,
-modelled as a sleep — exactly the non-CPU wait an HTTP front end overlaps
-per request; identical for both configurations).
+its own database.  Every request runs on the caller's thread whatever the
+layout, so sharding buys placement (shard snapshots, moves, rebalancing),
+not concurrency; this bench holds it to *same results, bounded cost*.
 
-Two configurations serve the *same* request stream:
-
-* **single-serial** — one shard (the old single-``Database`` layout), one
-  thread, every request handled in global order;
-* **sharded-parallel** — ``SHARDS`` shards, requests routed to the owning
-  shard's worker (``ShardWorkerPool``: one single-thread executor per
-  shard, so each worker is the sole writer of its shard), per-user request
-  order preserved.
-
-Correctness gates the timing claim twice over:
-
-* a **parity replay** first drives the identical request sequence through
-  both shard layouts serially (ids reset, no sleeps) and asserts every
-  response is byte-identical (pagination cursors are opaque shard-layout
-  handles, so ``next_cursor`` is normalized to presence; the *items* of
-  full listing walks are compared instead) and the final mobility models,
-  merged listings and recommendations match exactly;
-* after the timed runs, the two servers' end states are asserted
-  identical again (per-user fixes, model fingerprints, recommendations).
-
-Asserts aggregate throughput of sharded-parallel >= 2x single-serial, and
-reports p50/p95/p99 request latency for both.
+* **Parity** — a mixed wire-level op stream (buffered drive uploads,
+  feedback posts, cold and conditional recommendation reads, merged
+  listing walks) replays through a 1-shard and a 4-shard server and every
+  response must be byte-identical (pagination cursors are opaque
+  shard-layout handles, so ``next_cursor`` is normalized to presence; the
+  *items* of full listing walks are compared instead), as must the final
+  mobility models, merged listings and recommendations.  The other
+  serving benches (telemetry overhead, WAL durability) reuse this stream
+  and its helpers, with its simulated per-request client-link wait
+  (``WIRE_IO_S``).
+* **Shard overhead** — CPU only, no wire wait: ``commute``-shaped
+  multi-user tracking batches (every user's fixes for one upload window
+  in one ``POST /v1/tracking/batch``) stream through a 1-shard and a
+  4-shard server in ``OVERHEAD_ROUNDS`` paired rounds.  The responses
+  and the stores must match, and the median of the rounds' 4-shard/1-shard
+  time ratios must stay under ``SHARD_OVERHEAD_CEILING``: a multi-shard
+  batch may pay for per-shard grouping, not for dispatch.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_concurrent_serving.py -q
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import statistics
 import time
-from concurrent.futures import wait
 from typing import Any, Dict, List, Optional, Tuple
 
 from conftest import format_table, write_result
@@ -48,6 +41,7 @@ from repro.content.model import AudioClip, ContentKind
 from repro.geo import GeoPoint
 from repro.geo.geodesy import destination_point
 from repro.pipeline import Gateway, PphcrServer
+from repro.pipeline.gateway.gateway import GatewayConfig
 from repro.pipeline.server import ServerConfig
 from repro.storage.sharding import ShardingConfig
 from repro.users.profile import UserProfile
@@ -63,11 +57,25 @@ REVALIDATIONS = 5
 LIST_LIMIT = 10
 SHARDS = 4
 #: Per-request client-link transfer time: the wire wait an HTTP front end
-#: pays per request (socket read/write), which releases the GIL and which
-#: per-shard workers overlap.  Identical for both configurations.
+#: pays per request (socket read/write), modelled as a sleep by the drives
+#: that want a served request's whole cost.  Identical for every
+#: configuration they compare.
 WIRE_IO_S = 0.002
-SPEEDUP_FLOOR = 2.0
 CLIPS = 40
+
+#: Shard-overhead stream: upload windows, users per batch and fixes per
+#: user per window (``commute``'s shape: 20 drivers, 10 s windows), and
+#: the windows of each drive and each stop.
+BATCH_WINDOWS = 300
+BATCH_USERS = 20
+BATCH_FIXES_PER_USER = 2
+BATCH_WINDOW_S = 10.0
+BATCH_DRIVE_WINDOWS = 60
+BATCH_PARK_WINDOWS = 30
+#: Paired rounds per layout (interleaved, so machine drift hits both).
+OVERHEAD_ROUNDS = 5
+#: Gate: median over rounds of the 4-shard over the 1-shard stream time.
+SHARD_OVERHEAD_CEILING = 1.5
 
 #: Op kinds: ("batch", user, round) / ("feedback", user, round)
 #: ("rec", user, now_s) / ("reval", user, now_s)
@@ -139,7 +147,7 @@ def build_workload(seed: int = 17) -> Tuple[Dict[Tuple[str, int], str], List[Op]
 
 
 def build_server(
-    shards: int, *, parallel: bool, telemetry=None, durability=None
+    shards: int, *, telemetry=None, durability=None
 ) -> Tuple[PphcrServer, Gateway]:
     """A warmed server/gateway pair with the requested shard layout.
 
@@ -150,7 +158,7 @@ def build_server(
     the log on and off); None keeps the default (off).
     """
     reset_ids()
-    kwargs = {"sharding": ShardingConfig(shards=shards, parallel=parallel)}
+    kwargs = {"sharding": ShardingConfig(shards=shards)}
     if telemetry is not None:
         kwargs["telemetry"] = telemetry
     if durability is not None:
@@ -187,8 +195,7 @@ def execute_op(
 ) -> Tuple[int, str]:
     """Serve one op at the wire level; returns ``(status, body_json)``.
 
-    ``etags`` accumulates the freshest recommendation validator per user
-    (keys are per-user, so concurrent shard workers never share an entry).
+    ``etags`` accumulates the freshest recommendation validator per user.
     """
     kind, user_id, arg = op
     if wire_io_s > 0.0:
@@ -257,53 +264,6 @@ def run_serial(
     return time.perf_counter() - start, latencies
 
 
-def run_sharded_parallel(
-    server: PphcrServer,
-    gateway: Gateway,
-    payloads: Dict[Tuple[str, int], str],
-    ops: List[Op],
-) -> Tuple[float, List[float]]:
-    """Per-shard workers drain per-shard queues of the same global order.
-
-    Each op routes to the shard owning its user (user-less listing reads
-    round-robin); within a queue the global order is preserved, so every
-    user's requests execute in order on one worker — the single writer of
-    that shard.
-    """
-    queues: List[List[Op]] = [[] for _ in range(server.shard_count)]
-    round_robin = 0
-    for op in ops:
-        if op[1] is not None:
-            queues[server.users.shard_of(op[1])].append(op)
-        else:
-            queues[round_robin % server.shard_count].append(op)
-            round_robin += 1
-    pool = server.workers
-    assert pool is not None, "sharded server must run with parallel workers"
-    etags: Dict[str, str] = {}
-
-    def drain(queue: List[Op]) -> List[float]:
-        latencies: List[float] = []
-        for op in queue:
-            begin = time.perf_counter()
-            execute_op(gateway, payloads, op, etags, wire_io_s=WIRE_IO_S)
-            latencies.append(time.perf_counter() - begin)
-        return latencies
-
-    start = time.perf_counter()
-    futures = [
-        pool.submit(shard, drain, queue)
-        for shard, queue in enumerate(queues)
-        if queue
-    ]
-    wait(futures)
-    elapsed = time.perf_counter() - start
-    latencies = []
-    for future in futures:
-        latencies.extend(future.result())  # re-raises worker errors
-    return elapsed, latencies
-
-
 # Parity -------------------------------------------------------------------
 
 
@@ -324,8 +284,8 @@ def _normalized(body: str) -> Any:
 def replay_for_parity(
     shards: int, payloads: Dict[Tuple[str, int], str], ops: List[Op]
 ) -> Tuple[List[Tuple[int, Any]], PphcrServer, Gateway]:
-    """Serve the op stream serially on a fresh server; collect responses."""
-    server, gateway = build_server(shards, parallel=False)
+    """Serve the op stream on a fresh server; collect responses."""
+    server, gateway = build_server(shards)
     etags: Dict[str, str] = {}
     responses = []
     for op in ops:
@@ -373,17 +333,8 @@ def assert_end_state_equal(
     gateway_a: Gateway,
     server_b: PphcrServer,
     gateway_b: Gateway,
-    *,
-    ignore_event_ids: bool = False,
 ) -> None:
-    """Both servers must hold identical per-user state and listings.
-
-    ``ignore_event_ids`` drops feedback ``event_id`` values from the
-    comparison: ids come from one process-global counter, so a concurrent
-    run hands them out in a different *global* order than a serial one
-    even though every user's event sequence is identical.  The serial
-    parity replay compares them strictly.
-    """
+    """Both servers must hold identical per-user state and listings."""
     now_s = _round_t0(ROUNDS)  # a fresh bucket: both sides re-evaluate
     for user_id in user_ids():
         assert server_a.users.tracking.fixes_for(user_id) == server_b.users.tracking.fixes_for(
@@ -411,29 +362,116 @@ def assert_end_state_equal(
             "GET", f"/v1/users/{user_id}/feedback"
         )
         assert status_a == status_b == 200
-        events_a, events_b = _normalized(body_a), _normalized(body_b)
-        if ignore_event_ids:
-            for event in events_a["events"] + events_b["events"]:
-                event.pop("event_id")
-        assert events_a == events_b, user_id
+        assert _normalized(body_a) == _normalized(body_b), user_id
 
 
-def percentile(latencies: List[float], fraction: float) -> float:
-    ordered = sorted(latencies)
-    index = min(len(ordered) - 1, max(0, round(fraction * (len(ordered) - 1))))
-    return ordered[index]
+# Shard overhead -----------------------------------------------------------
 
 
-def latency_row(label: str, elapsed: float, latencies: List[float]) -> Dict[str, object]:
-    return {
-        "configuration": label,
-        "requests": len(latencies),
-        "elapsed_ms": f"{elapsed * 1000.0:.0f}",
-        "throughput": f"{len(latencies) / elapsed:.0f} req/s",
-        "p50_ms": f"{percentile(latencies, 0.50) * 1000.0:.2f}",
-        "p95_ms": f"{percentile(latencies, 0.95) * 1000.0:.2f}",
-        "p99_ms": f"{percentile(latencies, 0.99) * 1000.0:.2f}",
-    }
+def build_batch_stream(seed: int = 23) -> List[str]:
+    """Encoded multi-user tracking batches, one per upload window.
+
+    Each of the first ``BATCH_USERS`` users shuttles between two places:
+    ``BATCH_DRIVE_WINDOWS`` windows of driving, ``BATCH_PARK_WINDOWS``
+    parked, then back, so trips complete along the stream.  Every window's
+    request carries ``BATCH_FIXES_PER_USER`` fixes of each user, like
+    ``commute``'s uploads.
+    """
+    rng = DeterministicRng(seed)
+    users = user_ids()[:BATCH_USERS]
+    step_s = BATCH_WINDOW_S / BATCH_FIXES_PER_USER
+    drive = BATCH_DRIVE_WINDOWS * BATCH_FIXES_PER_USER
+    leg = drive + BATCH_PARK_WINDOWS * BATCH_FIXES_PER_USER
+    routes = {}
+    for user_id in users:
+        user_rng = rng.fork("shuttle", user_id)
+        home = GeoPoint(
+            45.07 + user_rng.uniform(-0.05, 0.05), 7.68 + user_rng.uniform(-0.05, 0.05)
+        )
+        routes[user_id] = (home, user_rng.uniform(0.0, 360.0), user_rng.uniform(9.0, 14.0))
+    bodies = []
+    for window in range(BATCH_WINDOWS):
+        fixes = []
+        for user_id in users:
+            home, bearing, speed = routes[user_id]
+            for index in range(BATCH_FIXES_PER_USER):
+                tick = window * BATCH_FIXES_PER_USER + index
+                driven = min(tick % leg, drive)
+                outbound = (tick // leg) % 2 == 0
+                distance_m = speed * step_s * (driven if outbound else drive - driven)
+                position = destination_point(home, bearing, distance_m)
+                fixes.append(
+                    {
+                        "user_id": user_id,
+                        "lat": position.lat,
+                        "lon": position.lon,
+                        "timestamp_s": _round_t0(0) + tick * step_s,
+                        "speed_mps": speed if tick % leg < drive else 0.0,
+                    }
+                )
+        bodies.append(json.dumps({"fixes": fixes}))
+    return bodies
+
+
+def run_batch_stream(server: PphcrServer, bodies: List[str]) -> Tuple[float, List[str]]:
+    """Post every batch in order; returns the elapsed time and the bodies.
+
+    The gateway's rate-limiter clock follows the upload windows, as a
+    device's would, so one client posting every window is never throttled.
+    The collector runs once before the timed loop, so garbage from earlier
+    rounds is not charged to whichever layout runs next; inside the loop it
+    runs as it would when serving, charging each layout its own garbage.
+    """
+    window = [0]
+    gateway = Gateway(
+        server,
+        GatewayConfig(clock=lambda: window[0] * BATCH_WINDOW_S),
+    )
+    responses = []
+    gc.collect()
+    start = time.perf_counter()
+    for index, body in enumerate(bodies):
+        window[0] = index
+        status, response, _headers = gateway.handle_wire(
+            "POST", "/v1/tracking/batch", body
+        )
+        assert status == 202, response
+        responses.append(response)
+    return time.perf_counter() - start, responses
+
+
+def run_shard_overhead_phase(bodies: List[str]) -> Tuple[float, float, float]:
+    """Interleaved 1-shard and 4-shard stream runs, results asserted equal.
+
+    Returns each layout's best time and the median over rounds of the
+    round's 4-shard/1-shard time ratio.  The two runs of a round are
+    adjacent (which goes first alternates), so the ratio cancels the
+    machine's speed drift that a ratio of two best times still carries.
+    """
+    best = {1: float("inf"), SHARDS: float("inf")}
+    ratios = []
+    outcome = {}
+    for round_index in range(OVERHEAD_ROUNDS):
+        elapsed = {}
+        for shards in (1, SHARDS) if round_index % 2 == 0 else (SHARDS, 1):
+            server, _gateway = build_server(shards)
+            elapsed[shards], responses = run_batch_stream(server, bodies)
+            best[shards] = min(best[shards], elapsed[shards])
+            outcome[shards] = (server, responses)
+        ratios.append(elapsed[SHARDS] / elapsed[1])
+    (single, single_responses), (sharded, sharded_responses) = (
+        outcome[1],
+        outcome[SHARDS],
+    )
+    assert single_responses == sharded_responses
+    for user_id in user_ids()[:BATCH_USERS]:
+        assert single.users.tracking.fixes_for(user_id) == sharded.users.tracking.fixes_for(
+            user_id
+        ), user_id
+        assert model_fingerprint(single, user_id) == model_fingerprint(
+            sharded, user_id
+        ), user_id
+    return best[1], best[SHARDS], statistics.median(ratios)
 
 
 # The benchmark ------------------------------------------------------------
@@ -451,70 +489,37 @@ def run_parity_phase(payloads, ops) -> None:
     )
 
 
-def run_throughput_phase(payloads, ops):
-    """Timed serial vs. sharded-parallel runs over the same stream.
-
-    Returns the two ``(elapsed, latencies)`` pairs plus the parallel
-    server, whose telemetry (``/v1/ops/metrics`` payload) the smoke runner
-    snapshots as the ``BENCH_concurrent_serving_metrics.json`` artifact.
-    """
-    server_serial, gateway_serial = build_server(1, parallel=False)
-    serial_elapsed, serial_latencies = run_serial(gateway_serial, payloads, ops)
-
-    server_parallel, gateway_parallel = build_server(SHARDS, parallel=True)
-    parallel_elapsed, parallel_latencies = run_sharded_parallel(
-        server_parallel, gateway_parallel, payloads, ops
-    )
-    assert len(serial_latencies) == len(parallel_latencies) == len(ops)
-    assert_end_state_equal(
-        server_serial,
-        gateway_serial,
-        server_parallel,
-        gateway_parallel,
-        ignore_event_ids=True,
-    )
-    return (
-        (serial_elapsed, serial_latencies),
-        (parallel_elapsed, parallel_latencies),
-        server_parallel,
-    )
-
-
-def test_perf_concurrent_serving(benchmark):
+def test_perf_shard_overhead(benchmark):
     payloads, ops = build_workload()
     run_parity_phase(payloads, ops)
 
-    (serial_elapsed, serial_latencies), (
-        parallel_elapsed,
-        parallel_latencies,
-    ), _server_parallel = benchmark.pedantic(
-        run_throughput_phase, args=(payloads, ops), rounds=1, iterations=1
+    bodies = build_batch_stream()
+    single_best, sharded_best, ratio = benchmark.pedantic(
+        run_shard_overhead_phase, args=(bodies,), rounds=1, iterations=1
+    )
+    assert ratio <= SHARD_OVERHEAD_CEILING, (
+        f"{SHARDS}-shard batch ingest took {ratio:.2f}x the 1-shard time "
+        f"(ceiling {SHARD_OVERHEAD_CEILING}x) over {len(bodies)} batches"
     )
 
-    serial_throughput = len(ops) / serial_elapsed
-    parallel_throughput = len(ops) / parallel_elapsed
-    speedup = parallel_throughput / serial_throughput
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"sharded-parallel serving only {speedup:.2f}x single-serial "
-        f"({parallel_throughput:.0f} vs {serial_throughput:.0f} req/s "
-        f"for {len(ops)} mixed requests, {SHARDS} shards)"
-    )
-
+    fixes = len(bodies) * BATCH_USERS * BATCH_FIXES_PER_USER
     rows = [
-        latency_row("single-database serial", serial_elapsed, serial_latencies),
-        latency_row(
-            f"sharded ({SHARDS} shards) parallel", parallel_elapsed, parallel_latencies
-        ),
+        {
+            "configuration": f"{shards} shard{'s' if shards > 1 else ''}",
+            "batches": len(bodies),
+            "best_ms": f"{elapsed * 1000.0:.0f}",
+            "per_batch_ms": f"{elapsed * 1000.0 / len(bodies):.3f}",
+            "fixes_per_s": f"{fixes / elapsed:.0f}",
+        }
+        for shards, elapsed in ((1, single_best), (SHARDS, sharded_best))
     ]
     lines = format_table(rows)
     lines.append("")
     lines.append(
-        f"aggregate throughput speedup: {speedup:.2f}x "
-        f"(wire transfer {WIRE_IO_S * 1000.0:.1f}ms/request, "
-        f"{USERS} users x {ROUNDS} rounds, results bit-identical)"
+        f"{SHARDS}-shard / 1-shard time: {ratio:.2f}x, median of {OVERHEAD_ROUNDS} "
+        f"paired rounds (ceiling {SHARD_OVERHEAD_CEILING}x; {BATCH_USERS} users x "
+        f"{BATCH_FIXES_PER_USER} fixes per batch; responses and stores identical)"
     )
-    write_result("concurrent_serving", lines)
-    benchmark.extra_info["speedup"] = round(speedup, 2)
-    benchmark.extra_info["serial_req_per_s"] = round(serial_throughput, 1)
-    benchmark.extra_info["parallel_req_per_s"] = round(parallel_throughput, 1)
+    write_result("shard_overhead", lines)
+    benchmark.extra_info["ratio"] = round(ratio, 3)
     print("\n".join(lines))

@@ -72,7 +72,7 @@ def run_drive(
     wire_io_s: float,
 ) -> Tuple[float, PphcrServer]:
     """Serve the whole op stream serially on a fresh server; time it."""
-    server, gateway = build_server(SHARDS, parallel=False, telemetry=telemetry)
+    server, gateway = build_server(SHARDS, telemetry=telemetry)
     etags: Dict[str, str] = {}
     start = time.perf_counter()
     for op in ops:

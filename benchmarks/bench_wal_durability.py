@@ -65,7 +65,7 @@ def run_overhead_phase(
     best_off = float("inf")
     server_off = gateway_off = None
     for _ in range(ROUNDS):
-        server, gateway = build_server(1, parallel=False)
+        server, gateway = build_server(1)
         elapsed, _latencies = run_serial(gateway, payloads, ops)
         if elapsed < best_off:
             best_off, server_off, gateway_off = elapsed, server, gateway
@@ -74,9 +74,7 @@ def run_overhead_phase(
     server_on = gateway_on = None
     for round_index in range(ROUNDS):
         server, gateway = build_server(
-            1,
-            parallel=False,
-            durability=_durability(wal_root / f"overhead-{round_index}"),
+            1, durability=_durability(wal_root / f"overhead-{round_index}")
         )
         elapsed, _latencies = run_serial(gateway, payloads, ops)
         if elapsed < best_on:
@@ -101,9 +99,7 @@ def run_recovery_phase(payloads, ops, wal_root) -> Dict[str, float]:
     primary exactly.
     """
     directory = wal_root / "recovery"
-    server, gateway = build_server(
-        1, parallel=False, durability=_durability(directory)
-    )
+    server, gateway = build_server(1, durability=_durability(directory))
     etags: Dict[str, str] = {}
     mid = len(ops) // 2
     for op in ops[:mid]:
@@ -124,7 +120,7 @@ def run_recovery_phase(payloads, ops, wal_root) -> Dict[str, float]:
 
     # Recovery B: what the WAL replaces — rebuild and re-ingest everything.
     start = time.perf_counter()
-    _fresh_server, fresh_gateway = build_server(1, parallel=False)
+    _fresh_server, fresh_gateway = build_server(1)
     fresh_etags: Dict[str, str] = {}
     for op in ops:
         execute_op(fresh_gateway, payloads, op, fresh_etags)

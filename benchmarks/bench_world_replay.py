@@ -40,7 +40,7 @@ def build_replay_world():
             ),
             broadcaster=BroadcasterConfig(seed=5, clips_per_day=40),
             commuters=CommuterConfig(seed=11, commuters=COMMUTERS, history_days=4),
-            server=ServerConfig(sharding=ShardingConfig(shards=SHARDS, parallel=True)),
+            server=ServerConfig(sharding=ShardingConfig(shards=SHARDS)),
             classifier_documents_per_category=4,
             feedback_events_per_user=10,
         )

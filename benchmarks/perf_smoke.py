@@ -15,11 +15,10 @@ the performance trajectory is tracked from PR to PR:
   recommendation reads);
 * ``BENCH_storage_engine.json`` — index-aware query planning (PR 5's
   declarative indexes + planner vs. the full-scan reference path);
-* ``BENCH_concurrent_serving.json`` — shard-partitioned concurrent
-  serving (PR 6's per-shard parallel workers vs. a single serial
-  database, mixed wire-level ingest + read traffic), plus
-  ``BENCH_concurrent_serving_metrics.json`` — the parallel server's
-  ``/v1/ops/metrics`` telemetry snapshot after the timed run (PR 7);
+* ``BENCH_shard_overhead.json`` — what a 4-shard layout costs over one
+  shard on the same ``commute``-shaped multi-user tracking batches (CPU
+  only, no wire wait; responses and stores asserted identical), with the
+  ratio ceiling CI asserts;
 * ``BENCH_telemetry_overhead.json`` — unified telemetry cost (PR 7's
   instrumented gateway drive vs. the disabled no-op path over the same
   mixed wire workload, asserted under the 5% budget);
@@ -45,12 +44,16 @@ import time
 sys.path.insert(0, os.path.dirname(__file__))  # for the bench_* modules
 
 from bench_concurrent_serving import (  # noqa: E402
+    BATCH_FIXES_PER_USER,
+    BATCH_USERS,
+    OVERHEAD_ROUNDS as SHARD_OVERHEAD_ROUNDS,
+    SHARD_OVERHEAD_CEILING,
     SHARDS as SERVING_SHARDS,
-    SPEEDUP_FLOOR as SERVING_SPEEDUP_FLOOR,
     WIRE_IO_S,
+    build_batch_stream,
     build_workload as build_serving_workload,
     run_parity_phase as run_serving_parity,
-    run_throughput_phase as run_serving_throughput,
+    run_shard_overhead_phase,
 )
 from bench_telemetry_overhead import (  # noqa: E402
     OVERHEAD_CEILING_PCT,
@@ -376,55 +379,36 @@ def smoke_storage_engine() -> str:
     return path
 
 
-def smoke_concurrent_serving() -> str:
+def smoke_shard_overhead() -> str:
     payloads, ops = build_serving_workload()
     # The parity replay is part of the claim: identical responses from both
     # shard layouts before any timing is believed.
     run_serving_parity(payloads, ops)
-    (
-        (serial_elapsed, serial_latencies),
-        (parallel_elapsed, parallel_latencies),
-        server_parallel,
-    ) = run_serving_throughput(payloads, ops)
-    serial_ops = len(serial_latencies) / serial_elapsed
-    parallel_ops = len(parallel_latencies) / parallel_elapsed
+    bodies = build_batch_stream()
+    single_best, sharded_best, ratio = run_shard_overhead_phase(bodies)
     payload = {
-        "bench": "concurrent_serving",
+        "bench": "shard_overhead",
         "unix_time_s": round(time.time(), 3),
         "workload": {
-            "requests": len(ops),
+            "batches": len(bodies),
+            "users_per_batch": BATCH_USERS,
+            "fixes_per_user": BATCH_FIXES_PER_USER,
             "shards": SERVING_SHARDS,
-            "wire_io_ms": round(WIRE_IO_S * 1000.0, 2),
+            "rounds": SHARD_OVERHEAD_ROUNDS,
         },
         "results": {
-            "serial_requests_per_s": round(serial_ops, 1),
-            "parallel_requests_per_s": round(parallel_ops, 1),
-            "speedup": round(parallel_ops / serial_ops, 2),
-            "speedup_floor": SERVING_SPEEDUP_FLOOR,
-            "parallel_elapsed_ms": round(parallel_elapsed * 1000.0, 2),
+            "single_shard_best_ms": round(single_best * 1000.0, 2),
+            "sharded_best_ms": round(sharded_best * 1000.0, 2),
+            "ratio": round(ratio, 3),
+            "ratio_ceiling": SHARD_OVERHEAD_CEILING,
         },
     }
-    path = _write("BENCH_concurrent_serving.json", payload)
-    # The parallel server's full ops-metrics payload (what GET
-    # /v1/ops/metrics would serve after the run): per-route latency
-    # percentiles, per-shard storage gauges, worker busy/imbalance stats.
-    metrics_path = _write(
-        "BENCH_concurrent_serving_metrics.json",
-        {
-            "bench": "concurrent_serving_metrics",
-            "unix_time_s": round(time.time(), 3),
-            "workload": {
-                "requests": len(ops),
-                "shards": SERVING_SHARDS,
-            },
-            "metrics": server_parallel.telemetry.metrics_snapshot(),
-        },
-    )
+    path = _write("BENCH_shard_overhead.json", payload)
     print(
-        f"concurrent-serving smoke: sharded-parallel {parallel_ops:,.0f} req/s "
-        f"(single-serial {serial_ops:,.0f} req/s, {parallel_ops / serial_ops:.1f}x)"
+        f"shard-overhead smoke: {SERVING_SHARDS} shards {sharded_best * 1000.0:,.0f} ms "
+        f"vs 1 shard {single_best * 1000.0:,.0f} ms for {len(bodies)} multi-user "
+        f"batches (median paired ratio {ratio:.2f}x, ceiling {SHARD_OVERHEAD_CEILING}x)"
     )
-    print(f"wrote {metrics_path}")
     return path
 
 
@@ -559,7 +543,7 @@ def main() -> int:
         smoke_route_clustering(),
         smoke_api_gateway(),
         smoke_storage_engine(),
-        smoke_concurrent_serving(),
+        smoke_shard_overhead(),
         smoke_telemetry_overhead(),
         smoke_wal_durability(),
         smoke_world_replay(),

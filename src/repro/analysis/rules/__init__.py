@@ -17,6 +17,7 @@ from repro.analysis.rules import (
     determinism,
     error_mapping,
     metric_naming,
+    serial_dispatch,
     shard_safety,
     snapshot_completeness,
     wal_channels,
@@ -30,6 +31,7 @@ ALL_RULES: List[Rule] = [
     shard_safety.RULE,
     error_mapping.RULE,
     metric_naming.RULE,
+    serial_dispatch.RULE,
 ]
 
 __all__ = ["ALL_RULES"]

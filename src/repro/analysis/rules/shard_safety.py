@@ -1,13 +1,14 @@
 """shard-safety: per-user state is reached through the shard router only.
 
-The single-writer-per-shard invariant (``docs/ARCHITECTURE.md``) holds
-because every per-user read/write routes through
-``ShardedDatabase.table_for``/``for_key`` (crc32 ``shard_of``
-assignment) and fan-out reads go through the sanctioned ``tables()`` /
-``page_by_index`` merges.  Code in the per-user-store packages that
-grabs a sibling shard's ``Database`` directly — ``.shard(i)`` with an
-unrouted index, or subscripting the raw ``databases``/``_dbs`` list —
-bypasses the router and can put two writers on one shard.
+A user's rows live on the shard their crc32 ``shard_of`` names
+(``docs/ARCHITECTURE.md``, "Sharding") because every per-user read/write
+routes through ``ShardedDatabase.table_for``/``for_key`` and fan-out
+reads go through the sanctioned ``tables()`` / ``page_by_index`` merges.
+Code in the per-user-store packages that grabs a sibling shard's
+``Database`` directly — ``.shard(i)`` with an unrouted index, or
+subscripting the raw ``databases``/``_dbs`` list — bypasses the router
+and can put a user's rows on a shard that does not own them, where shard
+snapshots, moves and routed reads never look.
 
 Allowed without routing evidence:
 

@@ -2,7 +2,7 @@
 
 A :class:`ChaosController` rides along a
 :class:`~repro.loadgen.replay.WorldReplay` and fires injections at
-scripted event indices.  Six fault families are supported, matching the
+scripted event indices.  Five fault families are supported, matching the
 recovery surfaces the storage and pipeline layers expose:
 
 * ``kill_restore`` — snapshot the server at index *s*, then at index *k*
@@ -11,9 +11,6 @@ recovery surfaces the storage and pipeline layers expose:
 * ``shard_move`` — ``snapshot_shard`` at *s*, drop/move the shard via
   ``restore_shard`` at *k*, then re-ingest only the lost-window writes of
   users living on that shard;
-* ``worker_fault`` — arm a :class:`~repro.storage.sharding.ShardWorkerPool`
-  fault hook so the next pooled task raises mid-group, observe the 500,
-  disarm and retry the failed request once;
 * ``bus_dead_letter`` — subscribe a once-raising handler to a bus topic
   so one delivery dead-letters, proving producers survive consumer bugs;
 * ``torn_log`` — on a durability-enabled server: snapshot at *s*, mark a
@@ -68,9 +65,6 @@ class ChaosController:
         self.log: List[Dict[str, Any]] = []
         # Lost-window bookkeeping for kill/shard recovery.
         self._dispatched: List[WireEvent] = []
-        # Worker-fault state.
-        self._fault_armed = False
-        self._fault_fired_shards: List[int] = []
 
     @staticmethod
     def _default_gateway(server):
@@ -162,10 +156,6 @@ class ChaosController:
             }
         )
 
-    def schedule_worker_fault(self, *, arm_at: int) -> None:
-        """Make the next pooled shard task after ``arm_at`` raise mid-group."""
-        self._injections.append({"fault": "worker_fault", "arm_at": arm_at})
-
     def schedule_bus_dead_letter(self, *, topic: str, arm_at: int) -> None:
         """Subscribe a once-raising handler to ``topic`` at ``arm_at``."""
         self._injections.append(
@@ -207,10 +197,6 @@ class ChaosController:
                 if index == injection["promote_at"] and not injection.get("fired_once"):
                     injection["fired_once"] = True
                     self._promote_replica(injection, index)
-            elif fault == "worker_fault":
-                if index == injection["arm_at"] and not injection.get("armed_once"):
-                    injection["armed_once"] = True
-                    self._arm_worker_fault()
             elif fault == "bus_dead_letter":
                 if index == injection["arm_at"] and not injection.get("armed_once"):
                     injection["armed_once"] = True
@@ -218,21 +204,6 @@ class ChaosController:
 
     def after_event(self, index: int, event: WireEvent, status: int) -> None:
         self._dispatched.append(event)
-        if self._fault_armed and self._fault_fired_shards:
-            # The armed fault took this request down; the pool rejected the
-            # whole group before any write, so one clean retry must succeed.
-            self._disarm_worker_fault()
-            retry_status, _body = self._replay.dispatch(event)
-            self.log.append(
-                {
-                    "fault": "worker_fault",
-                    "at": index,
-                    "failed_status": status,
-                    "retry_status": retry_status,
-                    "shards": sorted(set(self._fault_fired_shards)),
-                }
-            )
-            self._fault_fired_shards = []
 
     # ------------------------------------------------------------------
     # Fault implementations
@@ -428,25 +399,6 @@ class ChaosController:
                 )
             replayed += 1
         return replayed
-
-    def _arm_worker_fault(self) -> None:
-        pool = self._server.workers
-        if pool is None:
-            raise ValidationError("worker_fault needs a sharded, parallel server")
-        self._fault_armed = True
-        self._fault_fired_shards = []
-
-        def hook(shard: int) -> None:
-            self._fault_fired_shards.append(shard)
-            raise PipelineError(f"chaos: injected worker fault on shard {shard}")
-
-        pool.set_fault_hook(hook)
-
-    def _disarm_worker_fault(self) -> None:
-        pool = self._server.workers
-        if pool is not None:
-            pool.set_fault_hook(None)
-        self._fault_armed = False
 
     def _arm_bus_dead_letter(self, topic: str, index: int) -> None:
         state = {"raised": False}

@@ -6,7 +6,7 @@ The substrate every layer reports through (see ``docs/ARCHITECTURE.md``,
 * :class:`MetricsRegistry` — labeled counters/gauges and fixed-bucket
   streaming histograms with O(1) record and bounded-error p50/p95/p99;
 * :class:`Tracer` — trace/span context that follows a request from
-  ``Gateway.handle_wire`` across the shard worker threads, with ring
+  ``Gateway.handle_wire`` down every layer on its thread, with ring
   buffers of recent and slow traces;
 * :class:`SlowQueryLog` — table operations over a threshold, with their
   ``explain()`` plan and shard;

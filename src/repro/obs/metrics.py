@@ -1,7 +1,7 @@
 """Labeled metrics: counters, gauges and fixed-bucket streaming histograms.
 
 The registry is the one sink every instrumented layer reports through
-(gateway middleware, storage planner, shard workers, streaming engines,
+(gateway middleware, storage planner, WAL, streaming engines,
 compactor).  Three design rules keep it cheap enough to leave on in
 production:
 
@@ -16,7 +16,7 @@ production:
   guarantee ``tests/test_telemetry.py`` asserts against a sorted-list
   reference).
 * **Pull-time collection** — gauges derived from live state
-  (``Database.stats()`` counters, worker queue depths) are folded in by
+  (``Database.stats()`` row, index-hit and scan counters) are folded in by
   registered collector callbacks when a snapshot or exposition is taken,
   so the hot path never pays for them.
 

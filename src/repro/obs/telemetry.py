@@ -6,7 +6,7 @@
 * the :class:`~repro.obs.metrics.MetricsRegistry` every counter/histogram
   records into (or the null registry when disabled),
 * the :class:`~repro.obs.tracing.Tracer` whose context flows from the
-  gateway through the shard worker pool (or the null tracer),
+  gateway down every layer on the request's thread (or the null tracer),
 * the :class:`~repro.obs.slowlog.SlowQueryLog` fed by the query observer.
 
 The ``observe_*`` helpers install the instrumentation:
@@ -14,9 +14,7 @@ The ``observe_*`` helpers install the instrumentation:
 * :meth:`observe_database` / :meth:`observe_sharded` attach a query
   observer to every table (timing planner queries and keyset page walks)
   and register a pull-time collector folding ``Database.stats()`` row/
-  index-hit/scan counters into gauges;
-* :meth:`observe_pool` registers a collector over
-  ``ShardWorkerPool.stats()`` (queue depth, busy time, imbalance).
+  index-hit/scan counters into gauges.
 
 Telemetry state is process-lifetime observability: it is deliberately
 **excluded** from server snapshot/restore (a restored process starts with
@@ -234,32 +232,6 @@ class Telemetry:
     ) -> None:
         def collect(registry) -> None:
             self._set_stats_gauges(label, stats_fn(), shard=shard)
-
-        self.metrics.register_collector(collect)
-
-    # Worker instrumentation ----------------------------------------------
-
-    def observe_pool(self, pool) -> None:
-        """Fold :meth:`ShardWorkerPool.stats` into gauges at pull time."""
-        if not self.enabled:
-            return
-        depth = self.metrics.gauge(
-            "shard_queue_depth", "Tasks submitted but not finished", labels=("shard",)
-        )
-        busy = self.metrics.gauge(
-            "shard_busy_seconds", "Cumulative task wall time per shard", labels=("shard",)
-        )
-        imbalance = self.metrics.gauge(
-            "shard_busy_imbalance", "Max over mean per-shard busy time (1.0 = balanced)"
-        )
-
-        def collect(registry) -> None:
-            stats = pool.stats()
-            for shard_stats in stats["shards"]:
-                shard = str(shard_stats["shard"])
-                depth.labels(shard=shard).set(shard_stats["queue_depth"])
-                busy.labels(shard=shard).set(shard_stats["busy_s"])
-            imbalance.labels().set(stats["busy_imbalance"])
 
         self.metrics.register_collector(collect)
 

@@ -1,14 +1,13 @@
-"""Request tracing: spans that follow work across the shard worker threads.
+"""Request tracing: one trace per logical operation, spans for its parts.
 
 One trace covers one logical operation (usually one gateway request).  The
-active ``(trace, span)`` context is thread-local; crossing into a
-:class:`~repro.storage.sharding.ShardWorkerPool` worker is explicit —
-Python thread pools do not inherit thread-locals, so the submitter calls
-:meth:`Tracer.capture` and the worker re-enters the context with
-:meth:`Tracer.adopt` (the pool does this automatically when built with a
-tracer).  Spans carry tags — the shard id for worker tasks, the planner's
-``explain()`` output for storage queries — so a slow response can be tied
-to the shard and access path that caused it.
+active ``(trace, span)`` context is thread-local, so concurrent callers on
+different threads never share a trace; within a request every layer runs
+on the caller's thread (multi-shard work included), so spans opened
+anywhere below the gateway attach to the request's trace without any
+hand-off.  Spans carry tags — the shard id and the planner's ``explain()``
+output for storage queries — so a slow response can be tied to the shard
+and access path that caused it.
 
 Finished traces land in two ring buffers (recent and slow) sized by
 configuration; ``GET /v1/ops/traces`` serves both.  A trace is *slow* when
@@ -165,26 +164,6 @@ class _SpanContext:
         return False
 
 
-class _AdoptContext:
-    """Installs a captured (trace, span) context on another thread."""
-
-    __slots__ = ("_tracer", "_entry")
-
-    def __init__(self, tracer: "Tracer", entry: Optional[Tuple[Trace, Optional[Span]]]) -> None:
-        self._tracer = tracer
-        self._entry = entry
-
-    def __enter__(self) -> Optional[Tuple[Trace, Optional[Span]]]:
-        if self._entry is not None:
-            self._tracer._push(self._entry)
-        return self._entry
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._entry is not None:
-            self._tracer._pop()
-        return False
-
-
 class Tracer:
     """Thread-local trace/span context plus the recent/slow ring buffers."""
 
@@ -240,18 +219,6 @@ class Tracer:
         stack = getattr(self._local, "stack", None)
         return stack[-1] if stack else None
 
-    def capture(self) -> Optional[Tuple[Trace, Optional[Span]]]:
-        """The context to hand to another thread (see :meth:`adopt`)."""
-        return self.current()
-
-    def adopt(self, entry: Optional[Tuple[Trace, Optional[Span]]]) -> _AdoptContext:
-        """Re-enter a :meth:`capture`-d context on the current thread.
-
-        The shard worker pool wraps every submitted task in this, so spans
-        opened on the worker attach to the submitting request's trace.
-        """
-        return _AdoptContext(self, entry)
-
     def record_span(
         self, name: str, elapsed_s: float, *, slow: bool = False, **tags: Any
     ) -> bool:
@@ -300,12 +267,6 @@ class NullTracer:
 
     def current(self) -> None:
         return None
-
-    def capture(self) -> None:
-        return None
-
-    def adopt(self, entry: Any) -> _NoopContext:
-        return _NOOP_CONTEXT
 
     def record_span(self, name: str, elapsed_s: float, *, slow: bool = False, **tags: Any) -> bool:
         return False

@@ -16,7 +16,7 @@ with a declarative subsystem:
   <repro.users.management.UserManager.ingest_fixes>` in one request (an
   envelope ``user_id`` keeps the legacy single-user form; without one,
   per-item ``user_id`` fields let one request carry many users' drives,
-  grouped by shard and ingested in parallel on the server's worker pool),
+  validated as a whole before any fix is written),
   and ``POST /v1/feedback/batch`` records many feedback events with
   per-item error reporting;
 * **paginated + cacheable reads** — keyset-cursor pagination on the
@@ -156,8 +156,8 @@ class Gateway:
         if self._telemetry.enabled:
             # Tracing outermost, so the trace covers the whole chain
             # (including the metrics middleware's own timing) and every
-            # storage/worker span opened during dispatch attaches to the
-            # request's trace.
+            # storage span opened during dispatch attaches to the request's
+            # trace.
             middlewares[:0] = [
                 TracingMiddleware(self._telemetry.tracer),
                 MetricsMiddleware(self._telemetry.metrics),
@@ -567,9 +567,7 @@ class Gateway:
             for owner in sorted(owners):
                 self._server.users.profile(owner)  # 404 before any ingest
         try:
-            accepted = self._server.users.ingest_fixes(
-                fixes, skip_stale=True, pool=self._server.workers
-            )
+            accepted = self._server.users.ingest_fixes(fixes, skip_stale=True)
         except ReproError as exc:
             # Surface the aborted batch on the bus before the error maps to
             # a wire status: with no subscriber the message dead-letters

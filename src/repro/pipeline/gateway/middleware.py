@@ -325,12 +325,10 @@ class TracingMiddleware:
     """Opens one trace per request, named after the matched route.
 
     Sits outermost in the chain so the trace covers the entire middleware
-    stack and handler; the context propagates by thread (and across the
-    shard worker pool via capture/adopt — see
-    :meth:`ShardWorkerPool.submit
-    <repro.storage.sharding.ShardWorkerPool.submit>`), so spans opened by
-    storage and workers attach to the request's trace.  The response
-    status lands as a trace tag after dispatch.
+    stack and handler; the context is thread-local and every layer below
+    runs on the request's thread, so spans opened by storage attach to the
+    request's trace.  The response status lands as a trace tag after
+    dispatch.
     """
 
     def __init__(self, tracer) -> None:

@@ -87,8 +87,10 @@ class MessageBus:
         self._published: Deque[Message] = deque(maxlen=HISTORY_SIZE)
         self._dead_letter_logs: Dict[Tuple[str, str], _DeadLetterLog] = {}
         self._sequence = itertools.count()
-        # Shard workers publish concurrently, so the tally's read-modify-write
-        # and readers' walks over the rings hold this lock.
+        # The server publishes from the request's thread only, but the bus
+        # stays safe for callers that publish from several threads: the
+        # tally's read-modify-write and readers' walks over the rings hold
+        # this lock.
         self._dead_letter_lock = threading.Lock()
         self._delivery_count = 0
         self._dead_letter_counter = None  # set by attach_metrics()
@@ -173,7 +175,7 @@ class MessageBus:
 
     def published_messages(self, topic: str = None) -> List[Message]:
         """The last :data:`HISTORY_SIZE` published messages (optionally one topic's)."""
-        recent = list(self._published)  # one atomic copy: workers may be appending
+        recent = list(self._published)  # one atomic copy: another thread may be appending
         if topic is None:
             return recent
         return [message for message in recent if message.topic == topic]

@@ -38,7 +38,7 @@ from repro.roadnet.generator import City
 from repro.roadnet.intersections import distraction_zones_along, route_complexity
 from repro.roadnet.routing import RoutePlanner
 from repro.spatialdb import SpatialQueryEngine
-from repro.storage.sharding import ShardingConfig, ShardWorkerPool
+from repro.storage.sharding import ShardingConfig
 from repro.storage.wal import DurabilityConfig, DurabilityManager
 from repro.streaming.compactor import CompactionConfig, ShardedCompactor
 from repro.streaming.engine import StreamingConfig
@@ -65,9 +65,7 @@ class ServerConfig:
     compaction: CompactionConfig = CompactionConfig()
     #: Shard layout of all per-user state (tracking, profiles, feedback,
     #: streaming models).  ``shards`` must stay constant across snapshots
-    #: taken per shard (whole-server snapshots restore into any layout);
-    #: ``parallel`` enables the per-shard worker pool used by batch ingest
-    #: and full-pass compaction.
+    #: taken per shard (whole-server snapshots restore into any layout).
     sharding: ShardingConfig = ShardingConfig()
     #: Unified observability (metrics registry, request tracing, slow-query
     #: log).  ``TelemetryConfig(enabled=False)`` swaps in the null variants
@@ -183,10 +181,6 @@ class PphcrServer:
         # walk the shards so a deployment covers the whole population
         # without ever running a full pass.
         self._maintenance_shard = 0
-        # Per-shard worker pool (one single-thread executor per shard, built
-        # lazily): batch ingest and full-pass compaction dispatch their
-        # per-shard groups here when ``sharding.parallel`` is on.
-        self._workers: Optional[ShardWorkerPool] = None
         # Durability: attached last so its change/op listeners observe the
         # fully wired server (the streaming engine's fix listener must run
         # before the WAL's — replayed fixes re-drive streaming, and the
@@ -268,22 +262,14 @@ class PphcrServer:
         return self._config.sharding.shards
 
     @property
-    def workers(self) -> Optional[ShardWorkerPool]:
-        """The per-shard worker pool (None when parallelism is off).
+    def workers(self) -> None:
+        """Always ``None``: every shard's work runs on the caller's thread.
 
-        One single-thread executor per shard, so everything dispatched
-        through it inherits the single-writer-per-shard invariant.  Built
-        lazily on first use; a serial deployment never starts a thread.
+        Kept only because the request-path benchmark (``perfbench/run.py``)
+        still reads it when it tears a world down and when it sums worker
+        busy time.
         """
-        if not self._config.sharding.parallel or self._config.sharding.shards == 1:
-            return None
-        if self._workers is None:
-            self._workers = ShardWorkerPool(
-                self._config.sharding.shards,
-                tracer=self._telemetry.tracer if self._telemetry.enabled else None,
-            )
-            self._telemetry.observe_pool(self._workers)
-        return self._workers
+        return None
 
     # Classifier management --------------------------------------------------
 
@@ -456,7 +442,6 @@ class PphcrServer:
         keep_window_s: Optional[float] = None,
         shard: Optional[int] = None,
         budget: Optional[int] = None,
-        parallel: bool = False,
     ) -> Dict[str, int]:
         """Run the periodic tracking-data compaction described in the paper.
 
@@ -468,22 +453,14 @@ class PphcrServer:
         refreshed mobility model and raw fixes older than ``keep_window_s``
         (default: the configured ``CompactionConfig.keep_window_s``, relative
         to their latest fix) pruned.  Returns the number of fixes removed
-        per user.
-
-        With ``parallel=True`` (and no ``shard``) the pass covers every
-        shard at once, one worker per dirty shard on the server's pool —
-        the full-pass form a deployment runs when it wants the whole
-        population compacted in one tick instead of round-robin.
+        per user.  Without a ``shard`` the pass covers every shard, one
+        after another on the caller's thread.
         """
         with self._telemetry.tracer.trace(
-            "compaction.pass", shard=-1 if shard is None else shard, parallel=parallel
+            "compaction.pass", shard=-1 if shard is None else shard
         ):
             report = self._compactor.run_pass(
-                keep_window_s=keep_window_s,
-                shard=shard,
-                budget=budget,
-                parallel=parallel,
-                pool=self.workers,
+                keep_window_s=keep_window_s, shard=shard, budget=budget
             )
         if self._compaction_pass_seconds is not None:
             self._compaction_pass_seconds.labels().record(
@@ -517,44 +494,28 @@ class PphcrServer:
         *,
         keep_window_s: Optional[float] = None,
         budget: Optional[int] = None,
-        parallel: bool = False,
     ) -> Dict[str, int]:
         """Run one periodic maintenance step: compact the next shard.
 
         Successive ticks rotate round-robin through the shards, so a
         deployment that calls this on a timer covers the whole user
         population every ``ShardingConfig.shards`` ticks while each tick
-        only pays for one shard's dirty users — the ROADMAP's "one shard
-        per worker tick" lever.  Returns the tick summary (shard compacted,
-        users pruned, fixes removed).
-
-        With ``parallel=True`` one tick compacts *all* shards at once on
-        the server's worker pool (shard ``-1`` in the summary); the
-        round-robin cursor does not advance — the tick already covered
-        every shard.
+        only pays for one shard's dirty users.  Returns the tick summary
+        (shard compacted, users pruned, fixes removed); a deployment that
+        wants the whole population in one step calls
+        :meth:`compact_tracking_data` without a shard instead.
         """
-        if parallel:
-            removed = self.compact_tracking_data(
-                keep_window_s=keep_window_s, budget=budget, parallel=True
-            )
-            summary = {
-                "shard": -1,
-                "next_shard": self._maintenance_shard,
-                "users_pruned": len(removed),
-                "fixes_removed": sum(removed.values()),
-            }
-        else:
-            shard = self._maintenance_shard
-            self._maintenance_shard = (shard + 1) % self.shard_count
-            removed = self.compact_tracking_data(
-                keep_window_s=keep_window_s, shard=shard, budget=budget
-            )
-            summary = {
-                "shard": shard,
-                "next_shard": self._maintenance_shard,
-                "users_pruned": len(removed),
-                "fixes_removed": sum(removed.values()),
-            }
+        shard = self._maintenance_shard
+        self._maintenance_shard = (shard + 1) % self.shard_count
+        removed = self.compact_tracking_data(
+            keep_window_s=keep_window_s, shard=shard, budget=budget
+        )
+        summary = {
+            "shard": shard,
+            "next_shard": self._maintenance_shard,
+            "users_pruned": len(removed),
+            "fixes_removed": sum(removed.values()),
+        }
         # WAL compaction piggybacks on the maintenance timer: once the log
         # exceeds its size budget the tick rewrites it as checkpoint + empty
         # tail.  The summary key only appears with durability attached, so

@@ -44,9 +44,9 @@ class GpsFix:
 class _TrackingShard:
     """One shard's partition of the per-user tracking state.
 
-    Everything a user's ingest touches lives in exactly one of these, so a
-    per-shard worker is the state's single writer (see
-    ``docs/ARCHITECTURE.md``, "Sharding & parallel workers").
+    Everything a user's ingest touches lives in exactly one of these, so
+    a shard can be captured, moved or restored on its own (see
+    ``docs/ARCHITECTURE.md``, "Sharding").
     """
 
     __slots__ = ("fixes", "first_seq", "added", "pending", "table")
@@ -73,11 +73,9 @@ class TrackingStore:
 
     With ``shards > 1`` the store partitions by crc32 of the user id
     behind a :class:`~repro.storage.sharding.ShardedDatabase`: each shard
-    owns its users' histories, counters and ``latest`` table, so one
-    worker per shard can ingest in parallel without any two threads ever
-    writing the same shard (the single-writer-per-shard invariant).
-    Spatial and listing reads fan out and merge; per-user reads route to
-    the owning shard.  ``shards == 1`` (the default) is exactly the old
+    owns its users' histories, counters and ``latest`` table.  Spatial
+    and listing reads fan out and merge; per-user reads route to the
+    owning shard.  ``shards == 1`` (the default) is exactly the old
     single-database behaviour.
 
     Ingest is write-heavy (every fix moves its user) while spatial reads

@@ -23,12 +23,7 @@ from repro.storage.cursor import Page, decode_token, encode_token
 from repro.storage.database import Database, payload_from_bytes, payload_to_bytes
 from repro.storage.index import HashIndex, SecondaryIndex, SortedIndex, SpatialIndex
 from repro.storage.query import Query
-from repro.storage.sharding import (
-    ShardedDatabase,
-    ShardingConfig,
-    ShardWorkerPool,
-    shard_of,
-)
+from repro.storage.sharding import ShardedDatabase, ShardingConfig, shard_of
 from repro.storage.spec import IndexSpec
 from repro.storage.table import Change, Column, Schema, Table
 from repro.storage.wal import DurabilityConfig, DurabilityManager
@@ -47,7 +42,6 @@ __all__ = [
     "SecondaryIndex",
     "ShardedDatabase",
     "ShardingConfig",
-    "ShardWorkerPool",
     "SortedIndex",
     "SpatialIndex",
     "Table",

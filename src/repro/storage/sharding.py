@@ -15,27 +15,20 @@ infrastructure:
   shard, multi-shard reads fan out and merge (including keyset-cursor
   pagination whose merged token carries one resume position per shard),
   and snapshot/restore compose per shard so one shard can be captured,
-  moved or rebalanced without touching the rest;
-* :class:`ShardWorkerPool` — one single-thread executor per shard.  Because
-  crc32 partitioning guarantees a user's writes all land on one shard,
-  pinning each shard's work to its own worker makes every shard
-  single-writer: no locks inside the storage engine, parallelism across
-  shards, serial execution within one.
+  moved or rebalanced without touching the rest.
 
-The single-writer-per-shard invariant (see ``docs/ARCHITECTURE.md``,
-"Sharding & parallel workers"): all mutations of shard *i*'s state happen
-on shard *i*'s worker (or on one thread when no pool is in play).  Small
-shared caches keyed per user (mobility-model caches, dirty counters) are
-safe across workers because different shards touch disjoint keys and
-CPython dict item writes are atomic.
+Shards partition state, not threads (see ``docs/ARCHITECTURE.md``,
+"Sharding"): every operation, multi-shard batches included, runs on the
+caller's thread.  Shard work is CPU-bound Python that the GIL would never
+overlap, so a worker per shard only added handoff cost, and serial
+dispatch keeps commit order — and the WAL's LSN sequence — a function of
+the request stream alone.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 import zlib
-from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
@@ -73,165 +66,14 @@ class ShardingConfig:
     (tracking, profiles, feedback, streaming models), the compactor and
     ``maintenance_tick``'s rotation; changing it reshuffles every user's
     shard, so treat it as a deployment constant — rebalancing to a new
-    width goes through snapshot/restore, which re-routes rows on load.  ``parallel`` enables
-    the per-shard worker pool (multi-user batch ingest and compaction
-    dispatch one task per shard instead of running serially).
+    width goes through snapshot/restore, which re-routes rows on load.
     """
 
     shards: int = 4
-    parallel: bool = True
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise PipelineError("shards must be >= 1")
-
-
-class ShardWorkerPool:
-    """One single-thread executor per shard: the parallel ingest substrate.
-
-    Work for shard *i* always runs on worker *i*, so per-shard state never
-    sees two writers — the storage engine stays lock-free.  Executors are
-    created lazily (a serial deployment never spawns a thread) and torn
-    down with :meth:`shutdown`.
-    """
-
-    def __init__(self, shards: int, *, tracer: Optional[Any] = None) -> None:
-        if shards < 1:
-            raise PipelineError("shards must be >= 1")
-        self._shards = shards
-        self._executors: List[Optional[ThreadPoolExecutor]] = [None] * shards
-        self._lock = threading.Lock()
-        #: Optional :class:`~repro.obs.tracing.Tracer`: when set, tasks
-        #: adopt the submitter's trace context on the worker thread and run
-        #: inside a ``shard.task`` span tagged with the shard id.
-        self._tracer = tracer
-        # Telemetry counters.  ``submitted`` is lock-guarded (any thread
-        # submits); ``completed``/``busy_s`` are only written by shard i's
-        # single worker thread, so they need no lock.
-        self._submitted = [0] * shards
-        self._completed = [0] * shards
-        self._busy_s = [0.0] * shards
-        # Chaos/testing hook: when set, called with the shard id at the
-        # start of every task, before the task body runs.  Raising from the
-        # hook fails the task exactly like the task body raising.
-        self._fault_hook: Optional[Callable[[int], None]] = None
-
-    @property
-    def shard_count(self) -> int:
-        """Number of shards this pool serves."""
-        return self._shards
-
-    def set_fault_hook(self, hook: Optional[Callable[[int], None]]) -> None:
-        """Install (or clear, with ``None``) the per-task fault hook.
-
-        The chaos harness uses this to make worker tasks fail on demand:
-        an armed hook raising turns the whole :meth:`map_shards` barrier
-        into the error path, which is exactly how a real worker crash
-        mid-group presents to callers.
-        """
-        self._fault_hook = hook
-
-    def _executor(self, shard: int) -> ThreadPoolExecutor:
-        if not 0 <= shard < self._shards:
-            raise PipelineError(f"shard must be in [0, {self._shards}), got {shard}")
-        executor = self._executors[shard]
-        if executor is None:
-            with self._lock:
-                executor = self._executors[shard]
-                if executor is None:
-                    executor = ThreadPoolExecutor(
-                        max_workers=1, thread_name_prefix=f"shard-{shard}"
-                    )
-                    self._executors[shard] = executor
-        return executor
-
-    def submit(self, shard: int, fn: Callable, *args: Any, **kwargs: Any) -> Future:
-        """Queue work on one shard's worker (FIFO within the shard).
-
-        When the pool carries a tracer and the submitting thread has an
-        active trace, the task re-enters that context on the worker and
-        runs inside a ``shard.task`` span — cross-thread trace propagation
-        is explicit (thread pools do not inherit thread-locals).
-        """
-        executor = self._executor(shard)
-        with self._lock:
-            self._submitted[shard] += 1
-        tracer = self._tracer
-        context = tracer.capture() if tracer is not None else None
-
-        def run() -> Any:
-            start = time.perf_counter()
-            try:
-                hook = self._fault_hook
-                if hook is not None:
-                    hook(shard)
-                if context is not None:
-                    with tracer.adopt(context):
-                        with tracer.span("shard.task", shard=shard):
-                            return fn(*args, **kwargs)
-                return fn(*args, **kwargs)
-            finally:
-                # Single writer per shard: only worker `shard` touches these.
-                self._busy_s[shard] += time.perf_counter() - start
-                self._completed[shard] += 1
-
-        return executor.submit(run)
-
-    def stats(self) -> Dict[str, Any]:
-        """Per-shard queue depth and busy time, plus the imbalance ratio.
-
-        ``queue_depth`` is submitted-minus-completed (tasks waiting or
-        running); ``busy_imbalance`` is max over mean of per-shard busy
-        seconds (1.0 = perfectly balanced, only meaningful once some work
-        has run).  Telemetry folds this in at pull time
-        (:meth:`Telemetry.observe_pool <repro.obs.telemetry.Telemetry.observe_pool>`).
-        """
-        with self._lock:
-            submitted = list(self._submitted)
-        completed = list(self._completed)
-        busy = list(self._busy_s)
-        per_shard = [
-            {
-                "shard": shard,
-                "submitted": submitted[shard],
-                "completed": completed[shard],
-                "queue_depth": submitted[shard] - completed[shard],
-                "busy_s": round(busy[shard], 6),
-            }
-            for shard in range(self._shards)
-        ]
-        mean_busy = sum(busy) / self._shards
-        imbalance = (max(busy) / mean_busy) if mean_busy > 0 else 0.0
-        return {"shards": per_shard, "busy_imbalance": round(imbalance, 4)}
-
-    def map_shards(self, work: Dict[int, Callable[[], Any]]) -> Dict[int, Any]:
-        """Run one thunk per shard concurrently; wait for all of them.
-
-        Every thunk runs to completion even when another fails — a
-        half-applied shard batch would otherwise be invisible.  The first
-        failure (lowest shard index, for determinism) is re-raised after
-        the barrier; results are returned per shard otherwise.
-        """
-        futures = {shard: self.submit(shard, thunk) for shard, thunk in sorted(work.items())}
-        results: Dict[int, Any] = {}
-        first_error: Optional[Tuple[int, BaseException]] = None
-        for shard, future in futures.items():
-            try:
-                results[shard] = future.result()
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                if first_error is None:
-                    first_error = (shard, exc)
-        if first_error is not None:
-            raise first_error[1]
-        return results
-
-    def shutdown(self) -> None:
-        """Stop all workers (outstanding queued work completes first)."""
-        with self._lock:
-            executors, self._executors = self._executors, [None] * self._shards
-        for executor in executors:
-            if executor is not None:
-                executor.shutdown(wait=True)
 
 
 class ShardedDatabase:

@@ -10,8 +10,9 @@ re-ingesting anything from clients.
 Layout: one log file per user shard (``shard-000.log`` …) plus one
 ``global.log`` for unsharded state (the content catalogue, editorial
 desk, server-level operations).  A user's writes all land on the owning
-shard's log, preserving the single-writer-per-shard invariant — each log
-file has exactly one writing thread.
+shard's log, in the order the server applied them.  Every write runs on
+the caller's thread, so the LSN sequence — and with it each log's bytes —
+is a function of the request stream alone.
 
 Frame format (the unit of append and of salvage)::
 

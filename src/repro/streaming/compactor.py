@@ -8,8 +8,8 @@ tick.  The compactor turns the pass into incremental maintenance:
   the compactor remembers the count at its last visit and skips users whose
   counter has not moved (they are reported as *unchanged*, not re-mined);
 * **sharding** — a pass can walk one of the tracking store's shards, so a
-  deployment can run one shard per tick (or per worker) and still cover the
-  whole population round-robin;
+  deployment can run one shard per tick and still cover the whole
+  population round-robin;
 * **budgeting** — an optional per-pass cap on visited users; users over
   budget stay dirty and are reported as *deferred* for the next pass.
 
@@ -25,7 +25,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.errors import PipelineError
 from repro.spatialdb.tracking_store import TrackingStore
-from repro.storage.sharding import ShardWorkerPool
 
 
 @dataclass(frozen=True)
@@ -60,11 +59,11 @@ class CompactionReport:
     out and will be picked up by a later pass.
 
     ``shard_elapsed_s`` is the wall-time breakdown per shard — the time
-    spent considering that shard's users, whether the pass ran serially
-    (attributed via :meth:`TrackingStore.shard_of`) or in parallel
-    (each worker times its own shard).  It is the report's only
-    *timing* field: serial and parallel passes over the same state agree
-    on every other field exactly, while the timings naturally differ.
+    spent considering that shard's users (attributed via
+    :meth:`TrackingStore.shard_of` in a full pass).  It is the report's
+    only *timing* field: without a budget, a full pass and the
+    single-shard passes over the same state agree on every other field
+    exactly, while the timings naturally differ.
     """
 
     removed: Dict[str, int] = field(default_factory=dict)
@@ -145,25 +144,12 @@ class ShardedCompactor:
         keep_window_s: Optional[float] = None,
         shard: Optional[int] = None,
         budget: Optional[int] = None,
-        parallel: bool = False,
-        pool: Optional[ShardWorkerPool] = None,
     ) -> CompactionReport:
         """Visit dirty users (in one shard, up to a budget) and compact them.
 
         Each visited user gets a refreshed mobility model (via the injected
         callback) and their raw fixes older than ``keep_window_s`` relative
         to their latest fix pruned.  Clean users are counted, not touched.
-
-        With ``parallel=True`` (and no ``shard`` restriction) the pass
-        covers *all* shards at once: each dirty shard runs as its own
-        single-shard pass on a worker thread (``pool``'s, or a transient
-        pool), while shards with no dirty users run inline on the caller —
-        they only count unchanged users and apply window pruning, which is
-        too cheap to ship to a worker.  Shard passes touch disjoint users,
-        models and ``_seen_counts`` keys, so each worker is the single
-        writer of its shard; the merged report is the same accounting a
-        serial full pass produces (``budget`` then applies per shard, and
-        ``visited_users`` orders by shard rather than globally).
         """
         window = self._config.keep_window_s if keep_window_s is None else keep_window_s
         if window <= 0:
@@ -174,8 +160,6 @@ class ShardedCompactor:
         cap = self._config.max_users_per_pass if budget is None else budget
         if cap is not None and cap < 1:
             raise PipelineError("budget must be >= 1 when set")
-        if parallel and shard is None and shards > 1:
-            return self._run_parallel(window, cap, pool)
 
         report = CompactionReport(shard=shard)
         for user_id in self._users_in(shard):
@@ -212,47 +196,3 @@ class ShardedCompactor:
                     user_shard, 0.0
                 ) + (time.perf_counter() - started)
         return report
-
-    def _run_parallel(
-        self, window: float, cap: Optional[int], pool: Optional[ShardWorkerPool]
-    ) -> CompactionReport:
-        """All shards in one pass: dirty shards on workers, clean inline."""
-        shards = self._tracking.shard_count
-        dirty_shards = {
-            shard for shard in range(shards) if self.dirty_users(shard=shard)
-        }
-        reports: Dict[int, CompactionReport] = {}
-        if dirty_shards:
-            own_pool = pool is None or pool.shard_count < shards
-            workers = ShardWorkerPool(shards) if own_pool else pool
-            try:
-                reports = workers.map_shards(
-                    {
-                        shard: (
-                            lambda shard=shard: self.run_pass(
-                                keep_window_s=window, shard=shard, budget=cap
-                            )
-                        )
-                        for shard in sorted(dirty_shards)
-                    }
-                )
-            finally:
-                if own_pool:
-                    workers.shutdown()
-        for shard in range(shards):
-            if shard not in reports:
-                reports[shard] = self.run_pass(
-                    keep_window_s=window, shard=shard, budget=cap
-                )
-        merged = CompactionReport(shard=None)
-        for shard in range(shards):
-            report = reports[shard]
-            merged.removed.update(report.removed)
-            merged.visited_users.extend(report.visited_users)
-            merged.unchanged_users += report.unchanged_users
-            merged.deferred_users += report.deferred_users
-            merged.skipped_users += report.skipped_users
-            # Per-shard passes key their timing by their own shard, so the
-            # union is disjoint and mirrors a serial pass's attribution.
-            merged.shard_elapsed_s.update(report.shard_elapsed_s)
-        return merged

@@ -4,9 +4,8 @@ The per-user state of :class:`~repro.streaming.engine.StreamingMobilityEngine`
 (open trip tails, incremental models, observation counters) is exactly the
 kind of state the shard router partitions: every fix belongs to one user,
 every user to one crc32 shard.  :class:`ShardedStreamingEngine` keeps one
-inner engine per shard and routes by user, so a per-shard ingest worker
-only ever touches its own engine — the single-writer-per-shard invariant
-extends from the stores to the live mobility models.
+inner engine per shard and routes by user, so a shard's live mobility
+models move with its stores (shard snapshots and restores).
 
 The façade exposes the same API the server and the compactor use, and its
 :meth:`snapshot_state` payload is the *flat* single-engine format (per-user

@@ -8,7 +8,6 @@ from repro.content.repository import ContentRepository
 from repro.errors import DuplicateError, NotFoundError, ValidationError
 from repro.spatialdb import GpsFix, TrackingStore
 from repro.storage import Column, IndexSpec, Page, Schema, ShardedDatabase
-from repro.storage.sharding import ShardWorkerPool
 from repro.users.feedback import FeedbackEvent, FeedbackKind, FeedbackStore
 from repro.users.profile import UserPreferenceProfile, UserProfile
 
@@ -28,9 +27,8 @@ class UserManager:
     DB and the tracking store — partitions by crc32 of the user id, the
     same assignment everywhere.  Single-user operations route to the
     owning shard; :meth:`user_ids` and :meth:`users_page` fan out and
-    merge.  Batch ingest can run shard groups in parallel on a
-    :class:`~repro.storage.sharding.ShardWorkerPool`: groups are disjoint
-    by construction, so each pool worker is the sole writer of its shard.
+    merge.  Batch ingest runs on the caller's thread whatever the layout
+    (see :meth:`ingest_fixes`).
     """
 
     #: Wiring, not state: fix listeners are re-registered by the streaming
@@ -308,13 +306,7 @@ class UserManager:
         for listener, _batch in self._fix_listeners:
             listener(fix)
 
-    def ingest_fixes(
-        self,
-        fixes: List[GpsFix],
-        *,
-        skip_stale: bool = False,
-        pool: Optional[ShardWorkerPool] = None,
-    ) -> int:
+    def ingest_fixes(self, fixes: List[GpsFix], *, skip_stale: bool = False) -> int:
         """Store many GPS fixes; returns how many were accepted.
 
         With ``skip_stale=True`` fixes older than the user's latest stored
@@ -329,51 +321,23 @@ class UserManager:
         fixes, same per-user order as per-fix :meth:`ingest_fix`, without
         re-paying the per-fix callback overhead.
 
-        With a ``pool`` the batch splits into per-shard groups (per-user
-        order preserved) that ingest concurrently, one worker per shard.
-        Groups touch disjoint state — shard-partitioned stores, per-shard
-        caches with disjoint keys, and shard-routed batch listeners — so
-        each worker is the single writer of everything it mutates.  The
-        per-user outcome is identical to the serial walk; only the
-        interleaving across users of *different* shards differs.
-
-        The pooled path is atomic across shards: a read-only validation
-        pass runs on every shard first, and writes only start once all
-        groups validated.  A worker failing during validation (bad data,
-        injected fault, crash) therefore leaves zero fixes ingested —
-        no partial multi-user batch is ever observable.
+        Every batch is atomic, in every shard layout: the whole batch is
+        validated first (:meth:`_prepare_group`, read-only) and only then
+        written (:meth:`_apply_group`), both on the caller's thread.  A
+        failure anywhere — an unknown user, an out-of-order fix, a store
+        read raising — leaves zero fixes stored, observed by the listeners
+        or logged, whichever users and shards the batch spans.
         """
-        if pool is None or self._shards == 1:
-            return self._ingest_group(fixes, skip_stale)
-        groups: Dict[int, List[GpsFix]] = {}
-        for fix in fixes:
-            groups.setdefault(self.shard_of(fix.user_id), []).append(fix)
-        if len(groups) <= 1:
-            return self._ingest_group(fixes, skip_stale)
-        prepared = pool.map_shards(
-            {
-                shard: (lambda group=group: self._prepare_group(group, skip_stale))
-                for shard, group in groups.items()
-            }
-        )
-        results = pool.map_shards(
-            {
-                shard: (lambda accepted=accepted: self._apply_group(accepted))
-                for shard, accepted in prepared.items()
-                if accepted
-            }
-        )
-        return sum(results.values())
+        return self._apply_group(self._prepare_group(fixes, skip_stale))
 
     def _prepare_group(self, fixes: List[GpsFix], skip_stale: bool) -> List[GpsFix]:
-        """Phase 1 of pooled ingest: validate one shard's group, write nothing.
+        """Phase 1 of batch ingest: validate the batch, write nothing.
 
-        Performs exactly the checks :meth:`_ingest_group` would make —
-        unknown users raise, out-of-order fixes raise unless
-        ``skip_stale`` drops them — and returns the fixes that phase 2
-        (:meth:`_apply_group`) will write.  Read-only by construction, so
-        a failure anywhere in the batch aborts with zero writes on every
-        shard.
+        Unknown users raise, out-of-order fixes raise unless
+        ``skip_stale`` drops them — the checks ``TrackingStore.add_fix``
+        would make — and the fixes phase 2 (:meth:`_apply_group`) will
+        write are returned.  Read-only by construction, so a failure
+        anywhere in the batch aborts with zero writes on every shard.
         """
         tracking = self._tracking
         latest_by_user: Dict[str, float] = {}
@@ -386,6 +350,7 @@ class UserManager:
                     latest = tracking.latest_fix(fix.user_id).timestamp_s
                 except NotFoundError:
                     latest = float("-inf")
+                latest_by_user[fix.user_id] = latest
             if fix.timestamp_s < latest:
                 if skip_stale:
                     continue
@@ -398,7 +363,9 @@ class UserManager:
         return accepted
 
     def _apply_group(self, accepted: List[GpsFix]) -> int:
-        """Phase 2 of pooled ingest: write one shard's validated fixes."""
+        """Phase 2 of batch ingest: write validated fixes, notify listeners."""
+        if not accepted:
+            return 0
         tracking = self._tracking
         for fix in accepted:
             tracking.add_fix(fix)
@@ -410,45 +377,12 @@ class UserManager:
                     listener(fix)
         return len(accepted)
 
-    def _ingest_group(self, fixes: List[GpsFix], skip_stale: bool) -> int:
-        """The serial ingest walk over one ordered run of fixes."""
-        tracking = self._tracking
-        latest_by_user: Dict[str, float] = {}
-        accepted: List[GpsFix] = []
-        try:
-            for fix in fixes:
-                latest = latest_by_user.get(fix.user_id)
-                if latest is None:
-                    self.profile(fix.user_id)  # raises for unknown users
-                    try:
-                        latest = tracking.latest_fix(fix.user_id).timestamp_s
-                    except NotFoundError:
-                        latest = float("-inf")
-                    latest_by_user[fix.user_id] = latest
-                if skip_stale and fix.timestamp_s < latest:
-                    continue
-                tracking.add_fix(fix)
-                latest_by_user[fix.user_id] = fix.timestamp_s
-                accepted.append(fix)
-        finally:
-            # Even when a mid-batch fix raises, listeners must still see the
-            # fixes that were accepted before it — exactly what the per-fix
-            # path would have delivered.
-            if accepted:
-                for listener, batch_listener in self._fix_listeners:
-                    if batch_listener is not None:
-                        batch_listener(accepted)
-                    else:
-                        for fix in accepted:
-                            listener(fix)
-        return len(accepted)
-
     # WAL replay -----------------------------------------------------------
 
     def replay_fixes(self, fixes: List[GpsFix]) -> int:
         """Re-apply already-accepted fixes from a logged WAL frame.
 
-        Exactly phase 2 of the pooled ingest: store each fix and deliver
+        Exactly phase 2 of batch ingest: store each fix and deliver
         the batch to every fix listener (the streaming engine evolves its
         models the same way it did live; a suspended WAL listener is a
         no-op).  Validation is skipped on purpose — the frame records

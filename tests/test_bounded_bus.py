@@ -64,7 +64,7 @@ def test_handler_error_survives_a_full_ring_of_unsubscribed_traffic():
 
 
 def test_concurrent_publishers_keep_counts_exact_and_readers_safe():
-    # Shard workers publish from their own threads while readers walk the
+    # Callers publish from their own threads while readers walk the
     # history: no event may be lost from the tally, and no read may fail.
     bus = MessageBus()
     writers, per_writer = 8, 4000

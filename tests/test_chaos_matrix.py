@@ -3,8 +3,8 @@
 For each traffic scenario (rush hour, flash crowd, broadcast→unicast
 handover) a reference replay runs with no faults and its end state is
 fingerprinted.  Then each fault family — kill+restore from snapshot,
-shard drop/move, worker pool task failure, bus dead-letter — is injected
-mid-replay into a twin world, and the survivor's state must be
+shard drop/move, bus dead-letter, torn WAL tail, replica failover — is
+injected mid-replay into a twin world, and the survivor's state must be
 indistinguishable from the reference: same recommendations, same model
 freshness, same tracking counters, same merged user directory, sane ops
 metrics.
@@ -41,7 +41,6 @@ SCRIPT_SEED = 99
 FAULTS = (
     "kill_restore",
     "shard_move",
-    "worker_fault",
     "bus_dead_letter",
     "torn_log",
     "replica_failover",
@@ -56,7 +55,7 @@ DEAD_LETTER_TOPIC = "recommendation.decision"
 def chaos_world(durability: DurabilityConfig = None):
     """Twin-buildable sharded world (ids reset so builds are identical)."""
     reset_ids()
-    server = ServerConfig(sharding=ShardingConfig(shards=4, parallel=True))
+    server = ServerConfig(sharding=ShardingConfig(shards=4))
     if durability is not None:
         server = replace(server, durability=durability)
     return build_world(
@@ -113,14 +112,6 @@ def schedule_fault(fault, chaos, world, script):
         chaos.schedule_shard_move(
             shard=shard, snapshot_at=snapshot_at, restore_at=strike_at
         )
-    elif fault == "worker_fault":
-        # Arm right before a pooled write so the fault demonstrably fires.
-        arm_at = next(
-            index
-            for index, event in enumerate(script)
-            if index >= n // 2 and event.path == "/v1/tracking/batch"
-        )
-        chaos.schedule_worker_fault(arm_at=arm_at)
     elif fault == "bus_dead_letter":
         chaos.schedule_bus_dead_letter(topic=DEAD_LETTER_TOPIC, arm_at=snapshot_at)
     elif fault == "torn_log":
@@ -187,10 +178,6 @@ def test_scenario_survives_fault(references, scenario, fault, tmp_path, survivor
         assert fired[0]["replayed"] == fired[0]["lost_events"]
     elif fault == "shard_move":
         assert fired[0]["lost_events"] > 0, "shard move must lose live writes"
-    elif fault == "worker_fault":
-        assert fired[0]["failed_status"] == 500
-        assert fired[0]["retry_status"] < 400
-        assert fired[0]["shards"], "the fault hook must have hit real shards"
     elif fault == "bus_dead_letter":
         records = chaos.server.bus.dead_letter_records(DEAD_LETTER_TOPIC)
         assert any(record.reason == "handler_error" for record in records)

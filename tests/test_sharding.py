@@ -7,8 +7,8 @@ The sharding contract, end to end:
   single unsharded walk returns, whatever the shard count;
 * a sharded deployment is *observably identical* to a single-database one
   for the same request sequence (stores, wire responses, models);
-* per-shard single-writer parallelism (worker pool, parallel compaction,
-  multi-user batch ingest) changes wall-clock, never results;
+* a multi-user tracking batch is atomic in every layout, and the same
+  batches write the same WAL bytes in every run;
 * snapshots are the migration primitive: whole-server payloads restore
   into any shard layout, per-shard payloads move one shard.
 """
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import gzip
 import json
-import threading
 import zlib
 
 import pytest
@@ -30,15 +29,16 @@ from repro.pipeline.server import PphcrServer, ServerConfig
 from repro.spatialdb import GpsFix, TrackingStore
 from repro.storage import (
     Column,
+    DurabilityConfig,
     IndexSpec,
     Schema,
     ShardedDatabase,
     ShardingConfig,
-    ShardWorkerPool,
     payload_from_bytes,
     payload_to_bytes,
     shard_of,
 )
+from repro.storage.wal import log_paths
 from repro.users.feedback import FeedbackKind, FeedbackStore
 from repro.users.profile import UserProfile
 from repro.util.ids import reset_ids
@@ -62,46 +62,6 @@ def test_sharding_config_validates():
     assert ShardingConfig().shards == 4
     with pytest.raises(PipelineError):
         ShardingConfig(shards=0)
-
-
-# Worker pool --------------------------------------------------------------
-
-
-def test_worker_pool_runs_each_shard_on_its_own_worker():
-    pool = ShardWorkerPool(3)
-    try:
-        results = pool.map_shards(
-            {shard: (lambda shard=shard: (shard, threading.current_thread().name))
-             for shard in range(3)}
-        )
-        assert sorted(results) == [0, 1, 2]
-        names = {shard: name for shard, (value, name) in results.items()}
-        assert len(set(names.values())) == 3
-        for shard, name in names.items():
-            assert name.startswith(f"shard-{shard}")
-        # The same shard always lands on the same (single) worker thread.
-        again = pool.map_shards({1: lambda: threading.current_thread().name})
-        assert again[1] == names[1]
-    finally:
-        pool.shutdown()
-
-
-def test_worker_pool_reraises_lowest_shard_error_first():
-    pool = ShardWorkerPool(4)
-    try:
-        def boom(message):
-            raise ValueError(message)
-
-        with pytest.raises(ValueError, match="shard-1 failed"):
-            pool.map_shards(
-                {
-                    3: lambda: boom("shard-3 failed"),
-                    1: lambda: boom("shard-1 failed"),
-                    2: lambda: "fine",
-                }
-            )
-    finally:
-        pool.shutdown()
 
 
 # Merged keyset pagination -------------------------------------------------
@@ -307,10 +267,12 @@ def test_feedback_store_sharded_matches_single(seeded_rng):
 # Server-level parity ------------------------------------------------------
 
 
-def _server(shards: int, *, parallel: bool = False):
+def _server(shards: int, *, durability: DurabilityConfig = DurabilityConfig()):
     reset_ids()
     server = PphcrServer(
-        config=ServerConfig(sharding=ShardingConfig(shards=shards, parallel=parallel))
+        config=ServerConfig(
+            sharding=ShardingConfig(shards=shards), durability=durability
+        )
     )
     gateway = Gateway(server)
     for index in range(8):
@@ -395,8 +357,8 @@ def test_users_listing_merges_across_shards():
 
 
 def test_tracking_batch_accepts_multi_user_payloads(seeded_rng):
-    server_grouped, gateway_grouped = _server(4, parallel=True)
-    server_single_user, gateway_single_user = _server(4, parallel=True)
+    server_grouped, gateway_grouped = _server(4)
+    server_single_user, gateway_single_user = _server(4)
 
     all_fixes = []
     for index in range(8):
@@ -450,16 +412,17 @@ def test_tracking_batch_accepts_multi_user_payloads(seeded_rng):
         ) == server_single_user.users.tracking.fixes_for(user_id)
 
 
-def test_tracking_batch_atomic_when_worker_faults_mid_group(seeded_rng):
-    """A pooled worker raising mid-batch must leave zero fixes ingested.
+def test_tracking_batch_atomic_when_worker_faults_mid_group(seeded_rng, monkeypatch):
+    """A store fault mid-batch must leave zero fixes ingested.
 
-    The pooled ingest path validates every shard group before any shard
-    writes, so an injected worker fault surfaces as a 500 with no partial
-    multi-user ingest observable anywhere — plus a ``tracking.batch_failed``
+    Batch ingest validates the whole multi-user batch before any shard
+    writes, so a tracking-store read raising for the batch's last user —
+    after every other user validated — surfaces as a 500 with no partial
+    multi-user ingest observable anywhere, plus a ``tracking.batch_failed``
     dead-letter record and a request trace tagged with the 500.
     """
-    server, gateway = _server(4, parallel=True)
-    twin, twin_gateway = _server(4, parallel=True)
+    server, gateway = _server(4)
+    twin, twin_gateway = _server(4)
     users = [f"user-{index:03d}" for index in range(8)]
     mixed = [
         {
@@ -473,23 +436,32 @@ def test_tracking_batch_atomic_when_worker_faults_mid_group(seeded_rng):
         for user_id in users
         for fix in [_fixes_for(user_id, seeded_rng, count=6)[position]]
     ]
+    # The batch spans several shards, so the fault lands after fixes of
+    # other shards already validated.
+    assert len({server.users.shard_of(user_id) for user_id in users}) > 1
 
+    tracking = server.users.tracking
+    latest_fix = tracking.latest_fix
+    faulty_user = users[-1]
     fired = []
 
-    def fault(shard):
-        fired.append(shard)
-        raise PipelineError(f"injected worker fault on shard {shard}")
+    def faulty_latest_fix(user_id):
+        if user_id == faulty_user:
+            fired.append(user_id)
+            raise PipelineError(f"injected tracking-store fault for {user_id}")
+        return latest_fix(user_id)
 
-    server.workers.set_fault_hook(fault)
+    monkeypatch.setattr(tracking, "latest_fix", faulty_latest_fix)
     response = gateway.request("POST", "/v1/tracking/batch", body={"fixes": mixed})
     assert response.status == 500
-    assert fired  # the fault actually ran on a worker thread
+    assert fired == [faulty_user]  # the fault actually ran
 
     # No partial ingest is observable for any user on any shard.
     for user_id in users:
         assert server.users.tracking.fix_count(user_id) == 0
         assert server.users.tracking.fixes_added(user_id) == 0
         assert server.streaming.model_freshness(user_id) == (0, 0)
+        assert server.streaming.observed_fix_count(user_id) == 0
 
     # The aborted batch is dead-lettered (no subscriber on the failure
     # topic) with the owning users recorded.
@@ -507,7 +479,7 @@ def test_tracking_batch_atomic_when_worker_faults_mid_group(seeded_rng):
     assert batch_traces and batch_traces[-1]["tags"]["status"] == 500
 
     # Disarm and retry: the identical request now matches a clean twin.
-    server.workers.set_fault_hook(None)
+    monkeypatch.undo()
     retry = gateway.request("POST", "/v1/tracking/batch", body={"fixes": mixed})
     clean = twin_gateway.request("POST", "/v1/tracking/batch", body={"fixes": mixed})
     assert retry.status == clean.status == 202
@@ -518,8 +490,103 @@ def test_tracking_batch_atomic_when_worker_faults_mid_group(seeded_rng):
         )
 
 
+@pytest.fixture
+def durable_servers(tmp_path):
+    """Builds durable servers under ``tmp_path``; closes their WALs at teardown."""
+    built = []
+
+    def build(shards: int, name: str):
+        server, gateway = _server(
+            shards,
+            durability=DurabilityConfig(enabled=True, directory=str(tmp_path / name)),
+        )
+        built.append(server)
+        return server, gateway
+
+    yield build
+    for server in built:
+        server.durability.close()
+
+
+def _user_pair(shards: int, *, same_shard: bool):
+    """Two registered users (A, B) on the same shard or on different ones."""
+    users = [f"user-{index:03d}" for index in range(8)]
+    for user_a in users:
+        for user_b in users:
+            if user_a == user_b:
+                continue
+            if (shard_of(user_a, shards) == shard_of(user_b, shards)) == same_shard:
+                return user_a, user_b
+    raise AssertionError("no such user pair among the registered users")
+
+
+@pytest.mark.parametrize(
+    "shards, same_shard",
+    [(1, True), (4, True), (4, False)],
+    ids=["one-shard", "shared-shard", "split-shards"],
+)
+def test_failed_batch_writes_nothing_in_any_layout(
+    seeded_rng, durable_servers, shards, same_shard
+):
+    """A's valid fixes followed by B's out-of-order fix: nothing of A lands."""
+    server, _gateway = durable_servers(shards, "wal")
+    user_a, user_b = _user_pair(shards, same_shard=same_shard)
+    b_fixes = _fixes_for(user_b, seeded_rng, t0=1000.0, count=2)
+    server.users.ingest_fixes(b_fixes[1:])  # B's latest stored fix: t=1030
+    frames_before = server.durability.stats()["logs"]
+
+    batch = _fixes_for(user_a, seeded_rng, count=4) + b_fixes[:1]  # B at t=1000
+    with pytest.raises(ValidationError):
+        server.users.ingest_fixes(batch)
+
+    assert server.users.tracking.fix_count(user_a) == 0
+    assert server.users.tracking.fixes_added(user_a) == 0
+    assert server.streaming.observed_fix_count(user_a) == 0
+    assert server.users.tracking.fixes_added(user_b) == 1
+    # No WAL frame was appended for the rejected batch.
+    assert server.durability.stats()["logs"] == frames_before
+
+
+def test_same_batches_write_byte_identical_wal(seeded_rng, durable_servers):
+    """Two fresh durable 4-shard servers fed the same multi-user batches.
+
+    Every shard's work runs on the caller's thread, so LSNs follow the
+    request stream and each log file's bytes are reproducible.
+    """
+    users = [f"user-{index:03d}" for index in range(8)]
+    drives = {user_id: _fixes_for(user_id, seeded_rng, count=60) for user_id in users}
+    windows = [
+        [
+            {
+                "user_id": user_id,
+                "lat": fix.position.lat,
+                "lon": fix.position.lon,
+                "timestamp_s": fix.timestamp_s,
+                "speed_mps": fix.speed_mps,
+            }
+            for user_id in users
+            for fix in drives[user_id][start : start + 2]
+        ]
+        for start in range(0, 60, 2)
+    ]
+    logs = []
+    for name in ("first", "second"):
+        server, gateway = durable_servers(4, name)
+        for window in windows:
+            response = gateway.request(
+                "POST", "/v1/tracking/batch", body={"fixes": window}
+            )
+            assert response.status == 202
+        server.durability.flush()
+        paths = log_paths(server.durability.directory)
+        logs.append({path.name: path.read_bytes() for path in paths})
+    first, second = logs
+    assert sorted(first) == [f"shard-{shard:03d}.log" for shard in range(4)]
+    assert first == second
+
+
 def test_tracking_batch_multi_user_resolves_all_owners_before_ingest():
-    server, gateway = _server(4, parallel=True)
+    server, gateway = _server(4)
     fixes = [
         {"user_id": "user-000", "lat": 45.0, "lon": 7.6, "timestamp_s": 10.0},
         {"user_id": "ghost", "lat": 45.0, "lon": 7.6, "timestamp_s": 11.0},
@@ -536,64 +603,6 @@ def test_tracking_batch_multi_user_resolves_all_owners_before_ingest():
     )
     assert response.status == 400
     assert "fixes[0]" in response.body["error"]
-
-
-def test_parallel_ingest_pool_matches_serial_outcome(seeded_rng):
-    server_serial, _gateway = _server(4, parallel=False)
-    server_parallel, _gateway = _server(4, parallel=True)
-    fixes = [
-        fix
-        for index in range(8)
-        for fix in _fixes_for(f"user-{index:03d}", seeded_rng, count=12)
-    ]
-    server_serial.users.ingest_fixes(fixes, skip_stale=True)
-    assert server_parallel.workers is not None
-    accepted = server_parallel.users.ingest_fixes(
-        fixes, skip_stale=True, pool=server_parallel.workers
-    )
-    assert accepted == len(fixes)
-    for index in range(8):
-        user_id = f"user-{index:03d}"
-        assert server_parallel.users.tracking.fixes_for(
-            user_id
-        ) == server_serial.users.tracking.fixes_for(user_id)
-        assert server_parallel.streaming.model_freshness(
-            user_id
-        ) == server_serial.streaming.model_freshness(user_id)
-
-
-# Parallel compaction ------------------------------------------------------
-
-
-def test_parallel_compaction_matches_serial_full_pass(seeded_rng):
-    server_serial, _gateway = _server(4)
-    server_parallel, _gateway = _server(4, parallel=True)
-    for server in (server_serial, server_parallel):
-        reset_ids()
-        _ingest_rounds(server, seeded_rng, rounds=3)
-    keep = 86400.0  # tighten the window so pruning happens
-    report_serial = server_serial.compactor.run_pass(keep_window_s=keep)
-    report_parallel = server_parallel.compactor.run_pass(
-        keep_window_s=keep, parallel=True, pool=server_parallel.workers
-    )
-    assert report_parallel.removed == report_serial.removed
-    assert sorted(report_parallel.visited_users) == sorted(report_serial.visited_users)
-    assert report_parallel.unchanged_users == report_serial.unchanged_users
-    assert report_parallel.deferred_users == report_serial.deferred_users
-    assert report_parallel.skipped_users == report_serial.skipped_users
-    assert report_parallel.shard is None
-    # Both compactors leave identical stores behind.
-    for index in range(8):
-        user_id = f"user-{index:03d}"
-        assert server_parallel.users.tracking.fixes_for(
-            user_id
-        ) == server_serial.users.tracking.fixes_for(user_id)
-    # A parallel maintenance tick covers all shards without advancing the
-    # round-robin cursor.
-    cursor_before = server_parallel.maintenance_shard
-    summary = server_parallel.maintenance_tick(parallel=True)
-    assert summary["shard"] == -1
-    assert server_parallel.maintenance_shard == cursor_before
 
 
 # Rebalancing --------------------------------------------------------------
@@ -617,9 +626,7 @@ def test_whole_server_snapshot_restores_into_other_shard_layout(seeded_rng):
     server_two, _gateway_two = _warmed_server(2, seeded_rng)
     # Restore into a *fresh* 4-shard server: versions are preserved exactly
     # on a cold target (on a warm one they only stay monotonically above).
-    server_four = PphcrServer(
-        config=ServerConfig(sharding=ShardingConfig(shards=4, parallel=False))
-    )
+    server_four = PphcrServer(config=ServerConfig(sharding=ShardingConfig(shards=4)))
     server_four.restore_snapshot(server_two.snapshot())
     now_s = 86400.0 + 30.0 * 9
     for index in range(8):

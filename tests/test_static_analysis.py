@@ -604,6 +604,82 @@ class TestMetricNaming:
 
 
 # ---------------------------------------------------------------------------
+# serial-dispatch
+# ---------------------------------------------------------------------------
+
+
+class TestSerialDispatch:
+    def test_threads_pools_and_processes_fire(self, tmp_path):
+        result = analyze(
+            tmp_path,
+            {
+                "storage/workers.py": """
+                import multiprocessing as mp
+                import threading
+                from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+                from multiprocessing.pool import ThreadPool
+
+                class Pool:
+                    def start(self, fn):
+                        threading.Thread(target=fn).start()
+                        return ThreadPoolExecutor(max_workers=1)
+
+                def fan_out(fn):
+                    with ProcessPoolExecutor() as pool:
+                        pool.submit(fn)
+                    mp.Process(target=fn).start()
+                    return mp.Pool(2), ThreadPool(2)
+                """,
+            },
+        )
+        assert keys(result, "serial-dispatch") == [
+            "concurrent.futures.ProcessPoolExecutor@fan_out",
+            "concurrent.futures.ThreadPoolExecutor@Pool.start",
+            "multiprocessing.Pool@fan_out",
+            "multiprocessing.Process@fan_out",
+            "multiprocessing.pool.ThreadPool@fan_out",
+            "threading.Thread@Pool.start",
+        ]
+
+    def test_allow_marker_silences(self, tmp_path):
+        result = analyze(
+            tmp_path,
+            {
+                "bench/load_client.py": """
+                import threading
+
+                def drive(fn):
+                    # repro: allow[serial-dispatch] overlaps simulated wire waits
+                    worker = threading.Thread(target=fn)
+                    worker.start()
+                """,
+            },
+        )
+        assert keys(result, "serial-dispatch") == []
+        assert [f.key for f in result.suppressed] == ["threading.Thread@drive"]
+        assert keys(result, SUPPRESSION_RULE) == []
+
+    def test_locks_and_thread_locals_stay_quiet(self, tmp_path):
+        result = analyze(
+            tmp_path,
+            {
+                "obs/tracing.py": """
+                import threading
+
+                class Tracer:
+                    def __init__(self):
+                        self._local = threading.local()
+                        self._lock = threading.Lock()
+
+                    def owner(self):
+                        return threading.get_ident()
+                """,
+            },
+        )
+        assert keys(result, "serial-dispatch") == []
+
+
+# ---------------------------------------------------------------------------
 # Suppressions and hygiene
 # ---------------------------------------------------------------------------
 
@@ -814,6 +890,7 @@ class TestRealTree:
             "shard-safety",
             "error-mapping-coverage",
             "metric-naming",
+            "serial-dispatch",
         }
 
     def test_src_repro_is_clean_modulo_baseline(self):

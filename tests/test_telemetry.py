@@ -5,16 +5,14 @@ The contracts under test:
 * histogram p50/p95/p99 estimates always land in the same bucket as the
   exact nearest-rank reference over the raw samples (bounded error), on
   randomized workloads and the degenerate edge cases;
-* trace context propagates from the caller across ``ShardWorkerPool``
-  worker threads (capture/adopt), tagging spans with their shard;
 * a wire workload through the gateway yields per-route percentiles from
   ``GET /v1/ops/metrics`` matching an exact offline computation within
   the documented bucket error, and slow table operations surface in
   ``GET /v1/ops/traces`` with their shard and ``explain()`` plan;
 * the message bus records dead letters per event (topic, handler, reason)
   and surfaces them as a registry counter;
-* serial and parallel compaction reports agree on everything except the
-  per-shard wall-time breakdown;
+* a full compaction pass and one pass per shard agree on everything
+  except the per-shard wall-time breakdown;
 * telemetry is excluded from server snapshots by design, and a disabled
   configuration degrades every surface to a cheap no-op.
 """
@@ -23,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 
 import pytest
 
@@ -44,7 +41,7 @@ from repro.spatialdb import GpsFix
 from repro.geo import GeoPoint
 from repro.geo.geodesy import destination_point
 from repro.client.dashboard import ControlDashboard
-from repro.storage import DurabilityConfig, ShardingConfig, ShardWorkerPool
+from repro.storage import DurabilityConfig, ShardingConfig
 from repro.storage.wal import log_paths, scan_frames
 from repro.users.profile import UserProfile
 from repro.util.ids import reset_ids
@@ -162,49 +159,6 @@ def test_prometheus_text_exposition_shape():
     assert 'req_seconds_bucket{route="GET /x",le="+Inf"} 2' in text
     assert 'req_seconds_count{route="GET /x"} 2' in text
     assert 'req_seconds_sum{route="GET /x"}' in text
-
-
-# Trace propagation across the worker pool ---------------------------------
-
-
-def test_trace_context_propagates_across_shard_worker_threads():
-    tracer = Tracer()
-    pool = ShardWorkerPool(3, tracer=tracer)
-    try:
-        with tracer.trace("batch.ingest", users=6):
-            futures = []
-            for shard in range(3):
-                for _ in range(2):
-                    futures.append(
-                        pool.submit(shard, lambda: threading.current_thread().name)
-                    )
-            names = {future.result() for future in futures}
-        assert len(names) == 3  # one worker thread per shard
-        trace = tracer.recent(1)[0]
-        assert trace["name"] == "batch.ingest"
-        shard_tags = sorted(
-            span["tags"]["shard"]
-            for span in trace["spans"]
-            if span["name"] == "shard.task"
-        )
-        assert shard_tags == [0, 0, 1, 1, 2, 2]
-        stats = pool.stats()
-        assert all(entry["queue_depth"] == 0 for entry in stats["shards"])
-        assert [entry["submitted"] for entry in stats["shards"]] == [2, 2, 2]
-        assert all(entry["busy_s"] >= 0.0 for entry in stats["shards"])
-        assert stats["busy_imbalance"] >= 1.0
-    finally:
-        pool.shutdown()
-
-
-def test_untraced_pool_work_opens_no_spans():
-    tracer = Tracer()
-    pool = ShardWorkerPool(2, tracer=tracer)
-    try:
-        pool.submit(0, lambda: None).result()
-        assert tracer.recent() == []
-    finally:
-        pool.shutdown()
 
 
 def test_tracer_ring_buffers_and_slow_marking():
@@ -477,38 +431,55 @@ def _ingest_rounds(server, *, rounds=3):
 
 
 def test_compaction_reports_identical_apart_from_timing_fields():
-    reset_ids()
-    serial = PphcrServer(config=ServerConfig(sharding=ShardingConfig(shards=4)))
-    reset_ids()
-    parallel = PphcrServer(
-        config=ServerConfig(sharding=ShardingConfig(shards=4, parallel=True))
-    )
-    for server in (serial, parallel):
+    """A full pass and one single-shard pass per shard report the same work."""
+    servers = []
+    for _ in range(2):
+        reset_ids()
+        server = PphcrServer(config=ServerConfig(sharding=ShardingConfig(shards=4)))
         for index in range(6):
             server.register_user(
                 UserProfile(user_id=f"user-{index:03d}", display_name=f"User {index}")
             )
         reset_ids()
         _ingest_rounds(server)
+        servers.append(server)
+    full, per_shard = servers
     keep = 86400.0
-    report_serial = serial.compactor.run_pass(keep_window_s=keep)
-    report_parallel = parallel.compactor.run_pass(
-        keep_window_s=keep, parallel=True, pool=parallel.workers
-    )
+    report_full = full.compactor.run_pass(keep_window_s=keep)
+    reports = [
+        per_shard.compactor.run_pass(keep_window_s=keep, shard=shard)
+        for shard in range(per_shard.shard_count)
+    ]
     # Identical apart from the timing field...
-    assert report_parallel.removed == report_serial.removed
-    assert sorted(report_parallel.visited_users) == sorted(report_serial.visited_users)
-    assert report_parallel.unchanged_users == report_serial.unchanged_users
-    assert report_parallel.deferred_users == report_serial.deferred_users
-    assert report_parallel.skipped_users == report_serial.skipped_users
-    # ...which covers the same shards in both modes (values differ).
-    assert set(report_parallel.shard_elapsed_s) == set(report_serial.shard_elapsed_s)
-    assert all(value >= 0.0 for value in report_serial.shard_elapsed_s.values())
-    assert all(value >= 0.0 for value in report_parallel.shard_elapsed_s.values())
+    removed = {}
+    for report in reports:
+        removed.update(report.removed)
+    assert removed == report_full.removed
+    assert sorted(
+        user for report in reports for user in report.visited_users
+    ) == sorted(report_full.visited_users)
+    for field in ("unchanged_users", "deferred_users", "skipped_users"):
+        assert sum(getattr(report, field) for report in reports) == getattr(
+            report_full, field
+        )
+    assert report_full.shard is None
+    assert [report.shard for report in reports] == [0, 1, 2, 3]
+    # ...which covers the same shards either way (values differ).
+    timed_shards = set()
+    for report in reports:
+        timed_shards.update(report.shard_elapsed_s)
+    assert timed_shards == set(report_full.shard_elapsed_s)
+    assert all(value >= 0.0 for value in report_full.shard_elapsed_s.values())
     expected_shards = {
-        serial.users.shard_of(user) for user in report_serial.visited_users
+        full.users.shard_of(user) for user in report_full.visited_users
     }
-    assert expected_shards <= set(report_serial.shard_elapsed_s)
+    assert expected_shards <= set(report_full.shard_elapsed_s)
+    # Both leave identical stores behind.
+    for index in range(6):
+        user_id = f"user-{index:03d}"
+        assert full.users.tracking.fixes_for(user_id) == per_shard.users.tracking.fixes_for(
+            user_id
+        )
 
 
 def test_compaction_pass_records_metrics():

@@ -207,3 +207,21 @@ class TestUserManager:
         )
         assert added == 1
         assert manager.tracking.fix_count("u1") == 2
+
+    def test_ingest_fixes_reads_latest_fix_once_per_user_even_when_stale(self, monkeypatch):
+        manager = self.make_manager()
+        manager.ingest_fix(GpsFix("u1", 100.0, GeoPoint(45.0, 7.6)))
+        reads = []
+        latest_fix = manager.tracking.latest_fix
+
+        def counting_latest_fix(user_id):
+            reads.append(user_id)
+            return latest_fix(user_id)
+
+        monkeypatch.setattr(manager.tracking, "latest_fix", counting_latest_fix)
+        stale = [GpsFix("u1", float(t), GeoPoint(45.0, 7.6)) for t in (10, 20, 30, 40, 50)]
+        added = manager.ingest_fixes(
+            stale + [GpsFix("u1", 150.0, GeoPoint(45.0, 7.61))], skip_stale=True
+        )
+        assert added == 1
+        assert reads == ["u1"]

@@ -46,7 +46,7 @@ def replay_world():
             ),
             broadcaster=BroadcasterConfig(seed=5, clips_per_day=40),
             commuters=CommuterConfig(seed=11, commuters=6, history_days=4),
-            server=ServerConfig(sharding=ShardingConfig(shards=4, parallel=True)),
+            server=ServerConfig(sharding=ShardingConfig(shards=4)),
             classifier_documents_per_category=4,
             feedback_events_per_user=10,
         )
