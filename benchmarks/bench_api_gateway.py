@@ -20,12 +20,20 @@ what an HTTP server in front of the gateway pays per request):
   asserts the revalidating path is >= 5x the cold path (in practice it is
   orders of magnitude faster).
 
+* **Encode-once catalogue reads** — repeated cursor walks of a 1,500-clip
+  catalogue and popularity-skewed clip reads, at the wire.  The gateway
+  keeps each clip and clip-page 200's JSON text, so a repeated read skips
+  the repository, the body build and the encoder.  The gate is byte
+  parity: every page of the walk and every clip equals a freshly built
+  body.  The per-read times are a trend, not a floor.
+
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_api_gateway.py -q
 """
 
 from __future__ import annotations
 
 import json
+import random
 import time
 from typing import Dict, List, Tuple
 
@@ -34,7 +42,7 @@ from conftest import format_table, write_result
 from repro.content.model import AudioClip, ContentKind
 from repro.geo import GeoPoint
 from repro.geo.geodesy import destination_point
-from repro.pipeline import Gateway, GatewayConfig, PphcrServer
+from repro.pipeline import Gateway, GatewayConfig, PphcrServer, RateLimitConfig
 from repro.spatialdb import GpsFix
 from repro.users.profile import UserProfile
 from repro.util.rng import DeterministicRng
@@ -49,6 +57,14 @@ BATCH_ROUNDS = 3
 READ_USERS = 12
 HISTORY_DAYS = 3
 REVALIDATION_ROUNDS = 50
+
+CATALOGUE_CLIPS = 1500
+CATALOGUE_PAGE_LIMIT = "20"
+#: Walks of the whole catalogue: the first builds every page, the rest
+#: read them again.
+CATALOGUE_WALKS = 4
+#: Skewed clip reads per pass (two passes over the same picks).
+CATALOGUE_CLIP_READS = 3000
 
 
 # Ingest workload ----------------------------------------------------------
@@ -255,6 +271,111 @@ def run_conditional_reads(
     return time.perf_counter() - start
 
 
+# Catalogue reads -----------------------------------------------------------
+
+
+def build_catalogue(seed: int = 29) -> Tuple[PphcrServer, Gateway, List[str]]:
+    """A server with a ``CATALOGUE_CLIPS`` catalogue behind a plain gateway."""
+    rng = random.Random(seed)
+    server = PphcrServer()
+    categories = ["news-national", "economics", "culture", "cinema", "history"]
+    clip_ids = []
+    for index in range(CATALOGUE_CLIPS):
+        clip_id = f"clip-{index:05d}"
+        clip_ids.append(clip_id)
+        server.content.add_clip(
+            AudioClip(
+                clip_id=clip_id,
+                title=f"Clip {index}",
+                kind=ContentKind.PODCAST,
+                duration_s=round(rng.uniform(60.0, 600.0), 1),
+                category_scores={rng.choice(categories): round(rng.uniform(0.3, 1.0), 3)},
+                published_s=float(rng.randrange(0, 86400 * 7, 60)),
+            )
+        )
+    # One anonymous client reads the whole catalogue in a burst: the
+    # limiter still runs on every read but never throttles it.
+    gateway = Gateway(server, GatewayConfig(rate_limit=RateLimitConfig(capacity=1e9)))
+    return server, gateway, clip_ids
+
+
+def _fresh_text(server: PphcrServer, path: str, query: Dict[str, str]) -> str:
+    """The wire text of a body built from the repository (a gateway's first read)."""
+    response = Gateway(server).request("GET", path, query=query)
+    assert response.status == 200, response.body
+    return json.dumps(response.body, separators=(",", ":"))
+
+
+def run_catalogue_phase(seed: int = 29) -> Dict[str, float]:
+    """Cursor walks and skewed clip reads at the wire; parity-checked.
+
+    Returns µs per page read on the first walk and on the warm walks, µs
+    per clip read on the first and second pass over the same skewed picks,
+    and the share of 200s served from the encoded-body map.
+    """
+    server, gateway, clip_ids = build_catalogue(seed)
+    handle_wire = gateway.handle_wire
+    walks: List[List[Tuple[Dict[str, str], str]]] = []
+    walk_s: List[float] = []
+    clock = time.perf_counter
+    for _ in range(CATALOGUE_WALKS):
+        pages: List[Tuple[Dict[str, str], str]] = []
+        cursor = None
+        elapsed = 0.0
+        while True:
+            query = {"limit": CATALOGUE_PAGE_LIMIT}
+            if cursor is not None:
+                query["cursor"] = cursor
+            start = clock()
+            status, text, _headers = handle_wire("GET", "/v1/clips", query=query)
+            elapsed += clock() - start
+            assert status == 200, text
+            pages.append((query, text))
+            # The client's decode of the page is not the server's cost.
+            cursor = json.loads(text)["next_cursor"]
+            if cursor is None:
+                break
+        walk_s.append(elapsed)
+        walks.append(pages)
+    rng = random.Random(f"catalogue-picks:{seed}")
+    weights = [1.0 / (rank + 1) for rank in range(len(clip_ids))]
+    picks = rng.choices(clip_ids, weights=weights, k=CATALOGUE_CLIP_READS)
+    pass_s: List[float] = []
+    clip_texts: Dict[str, str] = {}
+    for _ in range(2):
+        texts = []
+        start = clock()
+        for clip_id in picks:
+            texts.append(handle_wire("GET", f"/v1/clips/{clip_id}"))
+        pass_s.append(clock() - start)
+        for clip_id, (status, text, _headers) in zip(picks, texts):
+            assert status == 200, text
+            assert clip_texts.setdefault(clip_id, text) == text
+    hits = {
+        entry["labels"]["result"]: entry["value"]
+        for entry in server.telemetry.metrics_snapshot()["counters"][
+            "api_encoded_responses_total"
+        ]["series"]
+    }
+    # The gate: every read equals a freshly built body, byte for byte.
+    for pages in walks[1:]:
+        assert pages == walks[0]
+    for query, text in walks[0]:
+        assert text == _fresh_text(server, "/v1/clips", query), query
+    for clip_id, text in clip_texts.items():
+        assert text == _fresh_text(server, f"/v1/clips/{clip_id}", {}), clip_id
+    pages_per_walk = len(walks[0])
+    return {
+        "pages_per_walk": pages_per_walk,
+        "distinct_clips": len(clip_texts),
+        "first_walk_us_per_page": walk_s[0] / pages_per_walk * 1e6,
+        "warm_walk_us_per_page": sum(walk_s[1:]) / (len(walk_s) - 1) / pages_per_walk * 1e6,
+        "first_pass_us_per_clip": pass_s[0] / len(picks) * 1e6,
+        "second_pass_us_per_clip": pass_s[1] / len(picks) * 1e6,
+        "hit_share": hits.get("hit", 0.0) / (hits.get("hit", 0.0) + hits.get("miss", 0.0)),
+    }
+
+
 # The benchmark ------------------------------------------------------------
 
 
@@ -346,3 +467,10 @@ def test_perf_api_gateway(benchmark):
     benchmark.extra_info["batch_fixes_per_s"] = round(total_fixes / batch_elapsed)
     benchmark.extra_info["single_fixes_per_s"] = round(total_fixes / single_elapsed)
     benchmark.extra_info["cached_reads_per_s"] = round(cached_reads_per_s)
+
+
+def test_perf_catalogue_reads(benchmark):
+    results = benchmark.pedantic(run_catalogue_phase, rounds=1, iterations=1)
+    assert results["pages_per_walk"] == CATALOGUE_CLIPS // int(CATALOGUE_PAGE_LIMIT)
+    for key, value in results.items():
+        benchmark.extra_info[key] = round(value, 3)

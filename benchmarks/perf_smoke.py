@@ -12,7 +12,9 @@ the performance trajectory is tracked from PR to PR:
   coherence (PR 3's fast path vs. the pairwise-resampling reference);
 * ``BENCH_api_gateway.json`` — gateway request throughput (PR 4's batch
   tracking ingest vs. per-call posts, ETag revalidation vs. cold
-  recommendation reads);
+  recommendation reads) and encode-once catalogue reads (µs per clip page
+  on the first and warm cursor walks, per skewed clip read, and the share
+  of clip 200s served from encoded text; byte parity gated, times a trend);
 * ``BENCH_storage_engine.json`` — index-aware query planning (PR 5's
   declarative indexes + planner vs. the full-scan reference path);
 * ``BENCH_shard_overhead.json`` — what a 4-shard layout costs over one
@@ -61,6 +63,9 @@ from bench_telemetry_overhead import (  # noqa: E402
     run_overhead_phase,
 )
 from bench_api_gateway import (  # noqa: E402
+    CATALOGUE_CLIP_READS,
+    CATALOGUE_CLIPS,
+    CATALOGUE_WALKS,
     DRIVE_FIXES,
     REVALIDATION_ROUNDS,
     USERS as GATEWAY_USERS,
@@ -69,6 +74,7 @@ from bench_api_gateway import (  # noqa: E402
     build_read_world,
     encode_payloads,
     run_batch_ingest,
+    run_catalogue_phase,
     run_cold_reads,
     run_conditional_reads,
     run_single_fix_ingest,
@@ -309,6 +315,8 @@ def smoke_api_gateway() -> str:
     batch_ops = total_fixes / batch_elapsed
     cold_ops = len(readers) / cold_elapsed
     cached_ops = len(readers) * REVALIDATION_ROUNDS / conditional_elapsed
+    # Parity-gated inside; the per-read times are a trend, not a floor.
+    catalogue = run_catalogue_phase()
 
     payload = {
         "bench": "api_gateway",
@@ -318,6 +326,9 @@ def smoke_api_gateway() -> str:
             "fixes_per_drive": DRIVE_FIXES,
             "readers": len(readers),
             "revalidation_rounds": REVALIDATION_ROUNDS,
+            "catalogue_clips": CATALOGUE_CLIPS,
+            "catalogue_walks": CATALOGUE_WALKS,
+            "catalogue_clip_reads_per_pass": CATALOGUE_CLIP_READS,
         },
         "results": {
             "single_fixes_per_s": round(single_ops, 1),
@@ -326,6 +337,7 @@ def smoke_api_gateway() -> str:
             "cold_reads_per_s": round(cold_ops, 1),
             "revalidated_reads_per_s": round(cached_ops, 1),
             "read_speedup": round(cached_ops / cold_ops, 2),
+            "catalogue": {key: round(value, 3) for key, value in catalogue.items()},
         },
     }
     path = _write("BENCH_api_gateway.json", payload)
@@ -333,7 +345,10 @@ def smoke_api_gateway() -> str:
         f"api-gateway smoke: batch ingest {batch_ops:,.0f} fixes/s "
         f"(per-call {single_ops:,.0f} fixes/s, {batch_ops / single_ops:.1f}x); "
         f"ETag revalidation {cached_ops:,.0f} reads/s "
-        f"(cold {cold_ops:,.0f} reads/s, {cached_ops / cold_ops:.1f}x)"
+        f"(cold {cold_ops:,.0f} reads/s, {cached_ops / cold_ops:.1f}x); "
+        f"clip pages {catalogue['first_walk_us_per_page']:.0f} -> "
+        f"{catalogue['warm_walk_us_per_page']:.0f} us warm, "
+        f"{catalogue['hit_share']:.1%} of clip 200s from encoded text"
     )
     return path
 

@@ -29,19 +29,27 @@ with a declarative subsystem:
   <repro.pipeline.server.PphcrServer.model_freshness>`) and on profile
   and clip reads keyed by storage-table ``version`` counters, so a
   client that polls while nothing changed never pays for a recommender
-  tick or a body rebuild.
+  tick or a body rebuild;
+* **encode-once clip reads** — the JSON text of each ``GET /v1/clips``
+  and ``GET /v1/clips/{clip_id}`` 200 is kept in a bounded map keyed by
+  the same inputs as the clip ETag (route, clip id or cursor and page
+  limit, clip-table version), so a repeated read skips the repository,
+  the body build and the encoder, while the middleware chain and the
+  ETag check still run per request.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import sys
+from collections import OrderedDict
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import NotFoundError, ReproError, ValidationError
 from repro.geo import GeoPoint
 from repro.storage import Page as StoragePage
-from repro.pipeline.gateway.http import ApiRequest, ApiResponse
+from repro.pipeline.gateway.http import ApiRequest, ApiResponse, encode_body
 from repro.pipeline.gateway.middleware import (
     ApiKeyRegistry,
     AuthMiddleware,
@@ -112,6 +120,54 @@ FEEDBACK_FIELDS = (
 
 FEEDBACK_SCHEMA = RequestSchema(fields=FEEDBACK_FIELDS)
 
+#: Memory budget of one gateway's encoded-body map, in bytes.  Each entry
+#: is charged the size of its JSON text and of the client-supplied string
+#: in its key (clip id or cursor), plus :data:`_ENTRY_OVERHEAD`, so the
+#: constant bounds the map's memory keys included.  The oldest entries are
+#: evicted first, as the bus rings drop their oldest messages
+#: (``HISTORY_SIZE``).  ``browse``-shaped traffic (a 1,500-clip catalogue
+#: read by page and by clip) keeps about 1.1 MB of entries live.
+ENCODED_BUDGET_BYTES = 2 << 20
+
+#: Bytes an entry holds besides its two strings: the ordered map's slot
+#: and node, the key tuple and its version integer.  ``tracemalloc`` read
+#: 162-275 bytes, the most after eviction churn has grown the map's table.
+_ENTRY_OVERHEAD = 280
+
+#: (route name, clip id or cursor, page limit, clip-table version).
+EncodedKey = Tuple[str, Optional[str], int, int]
+
+
+def _charge(key: EncodedKey, text: str) -> int:
+    return sys.getsizeof(text) + sys.getsizeof(key[1]) + _ENTRY_OVERHEAD
+
+
+class _EncodedBodies:
+    """The encoded text of repeated 200 bodies, oldest evicted first.
+
+    A key carries every input its body depends on, storage version
+    included, so a write changes the key instead of invalidating an
+    entry; superseded entries age out.  Values are text only: no caller
+    ever receives a shared dict.
+    """
+
+    def __init__(self) -> None:
+        self._texts: "OrderedDict[EncodedKey, str]" = OrderedDict()
+        self.charged = 0
+
+    def get(self, key: EncodedKey) -> Optional[str]:
+        return self._texts.get(key)
+
+    def put(self, key: EncodedKey, text: str) -> None:
+        charge = _charge(key, text)
+        if charge > ENCODED_BUDGET_BYTES:
+            return  # e.g. a huge client cursor: served, never stored
+        texts = self._texts
+        while self.charged + charge > ENCODED_BUDGET_BYTES:
+            self.charged -= _charge(*texts.popitem(last=False))
+        texts[key] = text
+        self.charged += charge
+
 
 @dataclass(frozen=True)
 class GatewayConfig:
@@ -148,6 +204,15 @@ class Gateway:
         self._routes = RouteTable()
         self._register_routes()
         self._telemetry = server.telemetry
+        self._encoded = _EncodedBodies()
+        self._encoded_results = self._telemetry.metrics.counter(
+            "api_encoded_responses_total",
+            "Clip and clip-page 200s served from the encoded-body map (hit) "
+            "or built and encoded (miss)",
+            labels=("route", "result"),
+        )
+        # Resolved once per (route, result), as in MetricsMiddleware.
+        self._encoded_series: Dict[Tuple[str, str], object] = {}
         middlewares = [
             ExceptionMapperMiddleware(),
             AuthMiddleware(self._auth, required=config.require_auth),
@@ -193,14 +258,24 @@ class Gateway:
 
     # Entry points ---------------------------------------------------------
 
-    def handle(self, request: ApiRequest) -> ApiResponse:
-        """Run one request through the middleware chain to its route."""
+    def handle(self, request: ApiRequest, *, wire: bool = False) -> ApiResponse:
+        """Run one request through the middleware chain to its route.
+
+        A clip read served from the encoded-body map answers with its wire
+        text alone.  With ``wire`` (:meth:`handle_wire`, which sends that
+        text as is) the response stays text-only; otherwise the text is
+        decoded into a fresh ``body``, so in-process callers never share a
+        dict.
+        """
         match = self._routes.match(request.method, request.path)
         if match is None:
             ctx = RequestContext(request=request, route=None)
         else:
             ctx = RequestContext(request=request, route=match[0], path_params=match[1])
-        return self._chain(ctx)
+        response = self._chain(ctx)
+        if not wire and response.text is not None and not response.body:
+            response = replace(response, body=json.loads(response.text))
+        return response
 
     def request(
         self,
@@ -256,9 +331,11 @@ class Gateway:
                 body=body,
                 query=query if query is not None else {},
                 headers=headers if headers is not None else {},
-            )
+            ),
+            wire=True,
         )
-        return response.status, json.dumps(response.body, separators=(",", ":")), response.headers
+        text = response.text if response.text is not None else encode_body(response.body)
+        return response.status, text, response.headers
 
     # Dispatch -------------------------------------------------------------
 
@@ -355,6 +432,36 @@ class Gateway:
             speed_mps=data["speed_mps"],
             accuracy_m=data["accuracy_m"],
         )
+
+    def _encoded_response(
+        self,
+        key: EncodedKey,
+        text: Optional[str],
+        build: Callable[[], Dict[str, Any]],
+        headers: Dict[str, str],
+    ) -> ApiResponse:
+        """A 200 whose body depends only on ``key``: encoded once, then reused.
+
+        ``text`` is what the encoded-body map holds for ``key``.  A hit
+        answers with it alone (see :meth:`handle`); a miss calls ``build``,
+        encodes its body and stores the text; a ``build`` that raises
+        stores and counts nothing.
+        """
+        if text is not None:
+            self._count_encoded(key[0], "hit")
+            return ApiResponse(status=200, headers=headers, text=text)
+        body = build()
+        text = encode_body(body)
+        self._encoded.put(key, text)
+        self._count_encoded(key[0], "miss")
+        return ApiResponse(status=200, body=body, headers=headers, text=text)
+
+    def _count_encoded(self, route_name: str, result: str) -> None:
+        series = self._encoded_series.get((route_name, result))
+        if series is None:
+            series = self._encoded_results.labels(route=route_name, result=result)
+            self._encoded_series[(route_name, result)] = series
+        series.inc()
 
     @staticmethod
     def _feedback_kind(raw: str) -> FeedbackKind:
@@ -625,24 +732,34 @@ class Gateway:
         }
 
     def _list_clips(self, ctx: RequestContext) -> ApiResponse:
-        clips, next_cursor = self._server.content.clips_page(
-            cursor=ctx.request.query.get("cursor"), limit=self._page_limit(ctx)
-        )
-        return ApiResponse(
-            status=200,
-            body={"clips": [self._clip_body(clip) for clip in clips], "next_cursor": next_cursor},
-        )
+        content = self._server.content
+        cursor = ctx.request.query.get("cursor")
+        limit = self._page_limit(ctx)
+
+        def build() -> Dict[str, Any]:
+            clips, next_cursor = content.clips_page(cursor=cursor, limit=limit)
+            return {"clips": [self._clip_body(clip) for clip in clips], "next_cursor": next_cursor}
+
+        # A malformed cursor raises inside build (400) and is never stored.
+        key = (ctx.route.name, cursor, limit, content.clips_version)
+        return self._encoded_response(key, self._encoded.get(key), build, {})
 
     def _get_clip(self, ctx: RequestContext) -> ApiResponse:
+        content = self._server.content
         clip_id = ctx.path_params["clip_id"]
-        clip = self._server.content.clip(clip_id)
+        version = content.clips_version
+        key = (ctx.route.name, clip_id, 0, version)
+        text = self._encoded.get(key)
+        # A stored body proves the clip exists at this version; otherwise
+        # the read raises the 404 before any revalidation.
+        clip = content.clip(clip_id) if text is None else None
         # Weak ETag on the clip table's storage version: any catalogue
         # write invalidates, which over-revalidates but never serves a
         # stale clip — and costs one integer read per request.
-        etag = f'W/"clip-{clip_id}:{self._server.content.clips_version}"'
+        etag = f'W/"clip-{clip_id}:{version}"'
         if ctx.request.header("if-none-match") in (etag, "*"):
             return ApiResponse(status=304, headers={"etag": etag})
-        return ApiResponse(status=200, body=self._clip_body(clip), headers={"etag": etag})
+        return self._encoded_response(key, text, lambda: self._clip_body(clip), {"etag": etag})
 
     # Recommendations ------------------------------------------------------
 

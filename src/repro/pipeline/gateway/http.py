@@ -4,25 +4,39 @@ The gateway models the paper's "Public Rest API Server" wire format without
 an actual HTTP stack: an :class:`ApiRequest` carries method, path, query
 parameters, headers and a JSON-like body; an :class:`ApiResponse` carries a
 status code, a JSON-like body and response headers (used for ``ETag``,
-``Retry-After`` and friends).  Both are plain immutable dataclasses so
+``Retry-After`` and friends), and, when the route already holds it, the
+body's encoded wire text.  Both are plain immutable dataclasses so
 requests can be replayed and responses asserted in tests and benchmarks.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.errors import ValidationError
 
 
+def encode_body(body: Dict[str, Any]) -> str:
+    """The wire text of a response body: compact JSON."""
+    return json.dumps(body, separators=(",", ":"))
+
+
 @dataclass(frozen=True)
 class ApiResponse:
-    """A REST-style response: status code, JSON-like body, headers."""
+    """A REST-style response: status code, JSON-like body, headers.
+
+    ``text``, when set, is :func:`encode_body` of the body, kept by routes
+    that serve repeated bodies from their encoded text (see
+    :meth:`Gateway.handle <repro.pipeline.gateway.gateway.Gateway.handle>`):
+    the wire sends it as is instead of encoding ``body`` again.
+    """
 
     status: int
     body: Dict[str, Any] = field(default_factory=dict)
     headers: Dict[str, str] = field(default_factory=dict)
+    text: Optional[str] = None
 
     @property
     def ok(self) -> bool:

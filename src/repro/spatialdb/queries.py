@@ -98,10 +98,7 @@ class SpatialQueryEngine:
 
     def current_speed_mps(self, user_id: str, *, smoothing_fixes: int = 3) -> float:
         """Estimate the user's current speed from the trailing fixes."""
-        fixes = self._store.fixes_for(user_id)
-        if not fixes:
-            raise NotFoundError(f"no tracking data for user {user_id!r}")
-        recent: List[GpsFix] = fixes[-max(2, smoothing_fixes):]
+        recent: List[GpsFix] = self._store.recent_fixes(user_id, max(2, smoothing_fixes))
         if len(recent) < 2:
             return recent[-1].speed_mps
         distance = path_length_m(fix.position for fix in recent)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import NotFoundError, ValidationError
@@ -39,6 +42,9 @@ class GpsFix:
             raise ValidationError(f"speed_mps must be >= 0, got {self.speed_mps}")
         if self.accuracy_m <= 0:
             raise ValidationError(f"accuracy_m must be > 0, got {self.accuracy_m}")
+
+
+_timestamp = attrgetter("timestamp_s")
 
 
 class _TrackingShard:
@@ -221,16 +227,32 @@ class TrackingStore:
         start_s: Optional[float] = None,
         end_s: Optional[float] = None,
     ) -> List[GpsFix]:
-        """Fixes for a user, optionally restricted to ``[start_s, end_s)``."""
+        """Fixes for a user, optionally restricted to ``[start_s, end_s)``.
+
+        Histories are time-ordered (``add_fix`` rejects older fixes and
+        restores check the order), so the window is two binary searches
+        and one slice: O(log n + window), not two passes over the history.
+        A NaN bound admits no fix, as the comparisons it replaces did.
+        """
         history = self._shard(user_id).fixes.get(user_id)
         if history is None:
             raise NotFoundError(f"no tracking data for user {user_id!r}")
-        result = history
-        if start_s is not None:
-            result = [fix for fix in result if fix.timestamp_s >= start_s]
-        if end_s is not None:
-            result = [fix for fix in result if fix.timestamp_s < end_s]
-        return list(result)
+        if (start_s is not None and math.isnan(start_s)) or (
+            end_s is not None and math.isnan(end_s)
+        ):
+            return []
+        low = 0 if start_s is None else bisect_left(history, start_s, key=_timestamp)
+        high = len(history) if end_s is None else bisect_left(history, end_s, key=_timestamp)
+        return history[low:high]
+
+    def recent_fixes(self, user_id: str, count: int) -> List[GpsFix]:
+        """A user's last ``count`` fixes, oldest first (a tail slice)."""
+        if count < 1:
+            raise ValidationError(f"count must be >= 1, got {count}")
+        history = self._shard(user_id).fixes.get(user_id)
+        if not history:
+            raise NotFoundError(f"no tracking data for user {user_id!r}")
+        return history[-count:]
 
     def fixes_page(
         self, user_id: str, *, cursor: Optional[str] = None, limit: int = 50
@@ -405,6 +427,11 @@ class TrackingStore:
 
     def _load_user(self, shard: _TrackingShard, user_id: str, state: Dict[str, Any]) -> None:
         history = self._history_from(user_id, state)
+        for earlier, later in zip(history, history[1:]):
+            if later.timestamp_s < earlier.timestamp_s:
+                raise ValidationError(
+                    f"tracking snapshot holds fixes out of time order for user {user_id!r}"
+                )
         shard.fixes[user_id] = history
         shard.first_seq[user_id] = state["first_seq"]
         shard.added[user_id] = state["added"]

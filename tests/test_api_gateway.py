@@ -30,7 +30,9 @@ from repro.pipeline import (
 )
 from repro.spatialdb import GpsFix
 from repro.geo import GeoPoint
+from repro.storage.replica import ReadReplica
 from repro.storage.sharding import ShardingConfig
+from repro.storage.wal import DurabilityConfig
 from repro.users import UserProfile
 
 
@@ -529,6 +531,244 @@ class TestContentRoutes:
         # Limits above the configured maximum are clamped, not rejected.
         clamped = gateway.request("GET", "/v1/clips", query={"limit": "100000"})
         assert clamped.ok
+
+
+def compact(body):
+    return json.dumps(body, separators=(",", ":"))
+
+
+class TestEncodedClipReads:
+    """Clip and clip-page 200s served from the gateway's encoded-body map."""
+
+    CLIP_ROUTE = "GET /v1/clips/{clip_id}"
+    PAGE_ROUTE = "GET /v1/clips"
+
+    @staticmethod
+    def make_clip(index, *, title=None, published_s=None):
+        return AudioClip(
+            clip_id=f"clip-{index:02d}",
+            title=title if title is not None else f"Clip {index} \u00e8",
+            kind=ContentKind.PODCAST,
+            duration_s=60.0 + index / 7.0,
+            category_scores={
+                ("news-national", "culture", "comedy")[index % 3]: 0.25 + index / 100.0
+            },
+            published_s=published_s if published_s is not None else float(index // 3),
+        )
+
+    def make_catalogue(self, clips=23, config=GatewayConfig()):
+        server = make_server()
+        for index in range(clips):
+            server.content.add_clip(self.make_clip(index))
+        return server, Gateway(server, config)
+
+    @staticmethod
+    def wire(gateway, path, **kwargs):
+        return gateway.handle_wire("GET", path, **kwargs)
+
+    @staticmethod
+    def walk(gateway, limit="4"):
+        """Every page of one cursor walk as (query, wire text)."""
+        pages, cursor = [], None
+        while True:
+            query = {"limit": limit}
+            if cursor is not None:
+                query["cursor"] = cursor
+            status, text, _headers = gateway.handle_wire("GET", "/v1/clips", query=query)
+            assert status == 200, text
+            pages.append((dict(query), text))
+            cursor = json.loads(text)["next_cursor"]
+            if cursor is None:
+                return pages
+
+    @staticmethod
+    def encoded_counts(server):
+        snapshot = server.telemetry.metrics_snapshot()
+        family = snapshot["counters"].get("api_encoded_responses_total", {"series": []})
+        return {
+            (entry["labels"]["route"], entry["labels"]["result"]): entry["value"]
+            for entry in family["series"]
+        }
+
+    def test_byte_parity_first_and_repeated_reads(self):
+        server, gateway = self.make_catalogue()
+        first = self.walk(gateway)
+        repeated = self.walk(gateway)
+        assert repeated == first and len(first) == 6
+        clip_ids = [f"clip-{index:02d}" for index in range(23)]
+        clips_first = [self.wire(gateway, f"/v1/clips/{clip_id}") for clip_id in clip_ids]
+        clips_repeated = [self.wire(gateway, f"/v1/clips/{clip_id}") for clip_id in clip_ids]
+        assert clips_repeated == clips_first
+        # The reference builds every body afresh: each key is read once, on a
+        # gateway of its own.
+        for query, text in first:
+            reference = Gateway(server).request("GET", "/v1/clips", query=query)
+            assert text == compact(reference.body)
+        for clip_id, (status, text, headers) in zip(clip_ids, clips_first):
+            reference = Gateway(server).request("GET", f"/v1/clips/{clip_id}")
+            assert (status, text, headers) == (200, compact(reference.body), reference.headers)
+        # Half of the misses are the reference gateways'.
+        assert self.encoded_counts(server) == {
+            (self.PAGE_ROUTE, "miss"): 12.0,
+            (self.PAGE_ROUTE, "hit"): 6.0,
+            (self.CLIP_ROUTE, "miss"): 46.0,
+            (self.CLIP_ROUTE, "hit"): 23.0,
+        }
+
+    def test_writes_change_the_next_read(self):
+        server, gateway = self.make_catalogue()
+        walk = self.walk(gateway)
+        second_query, second_page = walk[1]
+        _status, clip_text, _headers = self.wire(gateway, "/v1/clips/clip-07")
+
+        def current(path, query=None):
+            status, text, _headers = self.wire(gateway, path, query=query)
+            assert status == 200
+            reference = Gateway(server).request("GET", path, query=query or {})
+            assert text == compact(reference.body)
+            return text
+
+        # add_clip: a clip published inside the second page's range.
+        server.content.add_clip(self.make_clip(40, published_s=5.5))
+        after_add = current("/v1/clips", second_query)
+        assert after_add != second_page and '"clip-40"' in after_add
+        # replace_clip: the same clip id and cursor now carry the new title.
+        server.content.replace_clip(self.make_clip(7, title="Renamed"))
+        after_replace = current("/v1/clips/clip-07")
+        assert after_replace != clip_text and '"Renamed"' in after_replace
+        snapshot = server.snapshot()
+        server.content.replace_clip(self.make_clip(7, title="Renamed again"))
+        assert '"Renamed again"' in current("/v1/clips/clip-07")
+        # restore_snapshot: back to the snapshot's catalogue.
+        server.restore_snapshot(snapshot)
+        assert current("/v1/clips/clip-07") == after_replace
+        assert '"clip-40"' in current("/v1/clips", second_query)
+
+    def test_rate_limit_still_applies_to_hits(self):
+        config = GatewayConfig(
+            rate_limit=RateLimitConfig(capacity=3.0, refill_per_s=1.0), clock=lambda: 0.0
+        )
+        _server, gateway = self.make_catalogue(config=config)
+        for _ in range(3):
+            assert self.wire(gateway, "/v1/clips/clip-01")[0] == 200
+        status, text, headers = self.wire(gateway, "/v1/clips/clip-01")
+        assert status == 429 and "rate limit" in text
+        assert int(headers["retry-after"]) >= 1
+
+    def test_auth_still_applies_to_hits(self):
+        _server, gateway = self.make_catalogue(config=GatewayConfig(require_auth=True))
+        token = {"authorization": f"Bearer {gateway.auth.issue('alice')}"}
+        for path, query in (("/v1/clips/clip-02", None), ("/v1/clips", {"limit": "5"})):
+            first = self.wire(gateway, path, query=query, headers=token)
+            assert first[0] == 200
+            assert self.wire(gateway, path, query=query, headers=token) == first
+            assert self.wire(gateway, path, query=query)[0] == 401
+            bad = {"authorization": "Bearer nope"}
+            assert self.wire(gateway, path, query=query, headers=bad)[0] == 401
+
+    def test_each_hit_is_counted_and_traced(self):
+        server, gateway = self.make_catalogue()
+        for _ in range(5):
+            assert self.wire(gateway, "/v1/clips/clip-03")[0] == 200
+            assert self.wire(gateway, "/v1/clips", query={"limit": "3"})[0] == 200
+        snapshot = server.telemetry.metrics_snapshot()
+        requests = {
+            (entry["labels"]["route"], entry["labels"]["status_class"]): entry["value"]
+            for entry in snapshot["counters"]["api_requests_total"]["series"]
+        }
+        assert requests == {(self.CLIP_ROUTE, "2xx"): 5.0, (self.PAGE_ROUTE, "2xx"): 5.0}
+        traces = [trace["name"] for trace in server.telemetry.tracer.recent(128)]
+        assert traces.count("GET /v1/clips/{clip_id}") == 5
+        assert traces.count("GET /v1/clips") == 5
+        assert self.encoded_counts(server) == {
+            (self.CLIP_ROUTE, "miss"): 1.0,
+            (self.CLIP_ROUTE, "hit"): 4.0,
+            (self.PAGE_ROUTE, "miss"): 1.0,
+            (self.PAGE_ROUTE, "hit"): 4.0,
+        }
+
+    def test_revalidation_404_and_400_still_run(self):
+        server, gateway = self.make_catalogue()
+        status, _text, headers = self.wire(gateway, "/v1/clips/clip-04")
+        for _ in range(2):
+            revalidated = self.wire(
+                gateway, "/v1/clips/clip-04", headers={"if-none-match": headers["etag"]}
+            )
+            assert revalidated == (304, "{}", {"etag": headers["etag"]})
+        for _ in range(2):
+            assert self.wire(gateway, "/v1/clips/ghost")[0] == 404
+            status, text, _headers = self.wire(gateway, "/v1/clips", query={"cursor": "bogus"})
+            assert status == 400 and "cursor" in text
+        # Neither the 404 nor the malformed cursor was stored or counted.
+        assert self.encoded_counts(server) == {(self.CLIP_ROUTE, "miss"): 1.0}
+
+    def test_map_stays_within_its_budget(self, monkeypatch):
+        import repro.pipeline.gateway.gateway as gateway_module
+
+        budget = 6000
+        monkeypatch.setattr(gateway_module, "ENCODED_BUDGET_BYTES", budget)
+        server, gateway = self.make_catalogue(clips=40)
+        encoded = gateway._encoded
+        distinct = 0
+        for limit in ("1", "3", "8", "40"):
+            for query, _text in self.walk(gateway, limit=limit):
+                distinct += 1
+                assert sum(len(text) for text in encoded._texts.values()) <= encoded.charged
+                assert encoded.charged <= budget
+        for index in range(40):
+            assert self.wire(gateway, f"/v1/clips/clip-{index:02d}")[0] == 200
+            distinct += 1
+            assert encoded.charged <= budget
+        assert len(encoded._texts) < distinct
+        # Whatever was evicted reads again byte for byte.
+        for query, text in self.walk(gateway, limit="3"):
+            assert text == compact(Gateway(server).request("GET", "/v1/clips", query=query).body)
+
+    def test_replica_reads_equal_the_primary_at_lag_zero(self, tmp_path):
+        directory = tmp_path / "wal"
+        config = ServerConfig(durability=DurabilityConfig(enabled=True, directory=str(directory)))
+        primary_server = make_server(config=config)
+        try:
+            for index in range(12):
+                primary_server.content.add_clip(self.make_clip(index))
+            primary = Gateway(primary_server)
+            replica = ReadReplica(directory, build_server=PphcrServer)
+
+            def reads(front):
+                clips = [
+                    front.handle_wire("GET", f"/v1/clips/clip-{index:02d}")
+                    for index in (0, 5, 11, 30)
+                ]
+                return self.walk(front, limit="5"), clips
+
+            replica.catch_up()
+            assert replica.lag_frames() == 0
+            before = reads(primary)
+            assert before[1][-1][0] == 404
+            for _ in range(2):  # the second round reads the replica's map
+                assert reads(replica) == before
+            primary_server.content.add_clip(self.make_clip(30, published_s=2.5))
+            replica.catch_up()
+            assert replica.lag_frames() == 0
+            after = reads(primary)
+            assert after == reads(Gateway(primary_server))  # built afresh
+            assert after != before and after[1][-1][0] == 200
+            for _ in range(2):
+                assert reads(replica) == after
+        finally:
+            primary_server.durability.close()
+
+    def test_in_process_bodies_are_never_shared(self):
+        _server, gateway = self.make_catalogue()
+        for path, query in (("/v1/clips/clip-05", {}), ("/v1/clips", {"limit": "3"})):
+            first = gateway.request("GET", path, query=query)
+            expected = json.loads(compact(first.body))
+            first.body.clear()
+            second = gateway.request("GET", path, query=query)
+            assert second.body == expected
+            second.body["injected"] = True
+            third = gateway.request("GET", path, query=query)
+            assert third.body == expected and third.body is not second.body
 
 
 class TestRecommendationCaching:

@@ -1,10 +1,13 @@
 """Tests for the tracking store and spatial query engine."""
 
+import math
+import random
+
 import pytest
 
 from repro.errors import NotFoundError, ValidationError
 from repro.geo import BoundingBox, GeoPoint
-from repro.geo.geodesy import destination_point
+from repro.geo.geodesy import destination_point, path_length_m
 from repro.spatialdb import GpsFix, SpatialQueryEngine, TrackingStore
 
 ORIGIN = GeoPoint(45.07, 7.68)
@@ -104,6 +107,115 @@ class TestTrackingStore:
         assert store.user_ids() == []
         with pytest.raises(NotFoundError):
             store.clear_user("u1")
+
+
+def linear_window(history, start_s=None, end_s=None):
+    """The reference window: two passes of comparisons over the history."""
+    result = list(history)
+    if start_s is not None:
+        result = [fix for fix in result if fix.timestamp_s >= start_s]
+    if end_s is not None:
+        result = [fix for fix in result if fix.timestamp_s < end_s]
+    return result
+
+
+def reference_speed(history, smoothing_fixes):
+    """``current_speed_mps`` over the whole history, as it read before tail slices."""
+    recent = history[-max(2, smoothing_fixes):]
+    if len(recent) < 2:
+        return recent[-1].speed_mps
+    distance = path_length_m(fix.position for fix in recent)
+    duration = recent[-1].timestamp_s - recent[0].timestamp_s
+    if duration <= 0:
+        return recent[-1].speed_mps
+    return distance / duration
+
+
+def random_history(rng, user_id, count):
+    """A time-ordered history with ties (timestamps drawn from a small grid)."""
+    stamps = sorted(
+        rng.choice(range(0, 400, 10)) + rng.choice((0.0, 0.0, 2.5)) for _ in range(count)
+    )
+    return [
+        GpsFix(
+            user_id,
+            float(stamp),
+            destination_point(ORIGIN, rng.uniform(0.0, 360.0), rng.uniform(0.0, 3000.0)),
+            speed_mps=rng.uniform(0.0, 30.0),
+        )
+        for stamp in stamps
+    ]
+
+
+class TestWindowedFixReads:
+    def test_window_matches_the_linear_filter(self):
+        rng = random.Random(22)
+        special = [None, -math.inf, math.inf, math.nan, -1e9, 1e9, -5.0, 0.0, 405.0, 10_000.0]
+        for trial in range(60):
+            store = TrackingStore(shards=1 + trial % 3)
+            user_id = f"u{trial}"
+            history = random_history(rng, user_id, rng.choice((1, 2, 3, 8, 40)))
+            store.add_fixes(history)
+            stamps = [fix.timestamp_s for fix in history]
+            bounds = special + [stamp + shift for stamp in stamps for shift in (0.0, 0.5, -0.5)]
+            for _ in range(80):
+                start_s, end_s = rng.choice(bounds), rng.choice(bounds)
+                got = store.fixes_for(user_id, start_s=start_s, end_s=end_s)
+                assert got == linear_window(history, start_s, end_s), (start_s, end_s)
+            # Equal bounds, inverted bounds and ties at both ends.
+            for stamp in stamps:
+                assert store.fixes_for(user_id, start_s=stamp, end_s=stamp) == []
+                assert store.fixes_for(user_id, start_s=stamp + 1.0, end_s=stamp) == []
+                assert store.fixes_for(user_id, start_s=stamp) == linear_window(history, stamp)
+                assert store.fixes_for(user_id, end_s=stamp) == linear_window(history, None, stamp)
+
+    def test_nan_bounds_admit_no_fix(self):
+        store = TrackingStore()
+        store.add_fixes(make_drive_fixes("u1", count=10))
+        assert store.fixes_for("u1", start_s=math.nan) == []
+        assert store.fixes_for("u1", end_s=math.nan) == []
+        assert store.fixes_for("u1", start_s=math.nan, end_s=math.nan) == []
+        assert store.fixes_for("u1", start_s=0.0, end_s=math.nan) == []
+
+    def test_window_is_a_copy(self):
+        store = TrackingStore()
+        store.add_fixes(make_drive_fixes("u1", count=5))
+        for window in (store.fixes_for("u1"), store.fixes_for("u1", start_s=10.0, end_s=40.0)):
+            window.clear()
+        assert store.fix_count("u1") == 5
+        tail = store.recent_fixes("u1", 2)
+        tail.clear()
+        assert store.fix_count("u1") == 5
+
+    def test_current_speed_matches_the_full_history_reference(self):
+        rng = random.Random(7)
+        for trial in range(80):
+            store = TrackingStore()
+            history = random_history(rng, "u", rng.choice((1, 2, 3, 4, 9, 30)))
+            store.add_fixes(history)
+            engine = SpatialQueryEngine(store)
+            for smoothing in (0, 1, 2, 3, 5, 50):
+                expected = reference_speed(history, smoothing)
+                assert engine.current_speed_mps("u", smoothing_fixes=smoothing) == expected
+
+    def test_recent_fixes_errors(self):
+        store = TrackingStore()
+        with pytest.raises(NotFoundError):
+            store.recent_fixes("ghost", 3)
+        with pytest.raises(NotFoundError):
+            SpatialQueryEngine(store).current_speed_mps("ghost")
+        store.add_fixes(make_drive_fixes("u1", count=3))
+        with pytest.raises(ValidationError):
+            store.recent_fixes("u1", 0)
+        assert store.recent_fixes("u1", 10) == store.fixes_for("u1")
+
+    def test_restore_rejects_out_of_order_histories(self):
+        store = TrackingStore()
+        store.add_fixes(make_drive_fixes("u1", count=4))
+        payload = store.snapshot()
+        payload["users"]["u1"]["fixes"].reverse()
+        with pytest.raises(ValidationError, match="out of time order"):
+            TrackingStore().restore(payload)
 
 
 class TestSpatialQueryEngine:
