@@ -9,12 +9,11 @@ invariant" from ROADMAP/ARCHITECTURE into a CI failure.
 
 Run it with ``python -m repro.analysis src/repro``; see
 ``docs/ARCHITECTURE.md`` ("Static analysis") for the rule catalogue and
-the suppression/baseline policy.
+the suppression policy.
 """
 
 from __future__ import annotations
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.engine import AnalysisResult, Project, run_analysis
 from repro.analysis.facts import ModuleFacts, extract_module
 from repro.analysis.findings import Finding, Rule
@@ -23,7 +22,6 @@ from repro.analysis.rules import ALL_RULES
 __all__ = [
     "ALL_RULES",
     "AnalysisResult",
-    "Baseline",
     "Finding",
     "ModuleFacts",
     "Project",

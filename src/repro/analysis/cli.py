@@ -2,15 +2,13 @@
 
 Typical invocations::
 
-    python -m repro.analysis src/repro                  # text report, exit 1 on new findings
+    python -m repro.analysis src/repro                  # text report, exit 1 on any finding
     python -m repro.analysis src/repro --format=github  # PR annotations (CI)
     python -m repro.analysis src/repro --format=json --report=analysis-report.json
-    python -m repro.analysis src/repro --write-baseline # grandfather current findings
     python -m repro.analysis --list-rules
 
-The baseline defaults to ``analysis_baseline.json`` under the analysis
-root (the current directory unless ``--root`` is given); a missing file
-is an empty baseline.
+A finding is accepted only by an inline ``# repro: allow[rule] reason``
+marker on its line or the line above.
 """
 
 from __future__ import annotations
@@ -19,10 +17,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline
-from repro.analysis.engine import AnalysisResult, run_analysis
+from repro.analysis.engine import run_analysis
 from repro.analysis.report import FORMATS, render, report_payload
 from repro.analysis.rules import ALL_RULES
 
@@ -47,22 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--root",
         default=".",
-        help="analysis root findings/baseline paths are relative to (default: .)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help=f"baseline file (default: <root>/{DEFAULT_BASELINE_NAME})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file (report every finding as new)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to the baseline file and exit 0",
+        help="analysis root finding paths are relative to (default: .)",
     )
     parser.add_argument(
         "--report",
@@ -77,29 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(
-    paths: Sequence[str],
-    *,
-    root: str = ".",
-    baseline_path: Optional[str] = None,
-    use_baseline: bool = True,
-) -> AnalysisResult:
-    """Programmatic entry point mirroring the CLI defaults."""
-    root_path = Path(root)
-    resolved = (
-        Path(baseline_path)
-        if baseline_path is not None
-        else root_path / DEFAULT_BASELINE_NAME
-    )
-    baseline = Baseline.load(resolved) if use_baseline else Baseline()
-    return run_analysis(
-        [Path(path) for path in paths],
-        root=root_path,
-        rules=ALL_RULES,
-        baseline=baseline,
-    )
-
-
 def main(argv: Optional[List[str]] = None, *, stdout=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     args = build_parser().parse_args(argv)
@@ -109,18 +68,8 @@ def main(argv: Optional[List[str]] = None, *, stdout=None) -> int:
             print(f"{rule.name} ({rule.severity}): {rule.summary}", file=out)
         return 0
 
-    root_path = Path(args.root)
-    baseline_file = (
-        Path(args.baseline)
-        if args.baseline is not None
-        else root_path / DEFAULT_BASELINE_NAME
-    )
-
-    result = run(
-        args.paths,
-        root=args.root,
-        baseline_path=str(baseline_file),
-        use_baseline=not (args.no_baseline or args.write_baseline),
+    result = run_analysis(
+        [Path(path) for path in args.paths], root=Path(args.root), rules=ALL_RULES
     )
 
     if args.report:
@@ -128,16 +77,6 @@ def main(argv: Optional[List[str]] = None, *, stdout=None) -> int:
             json.dumps(report_payload(result), indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
-
-    if args.write_baseline:
-        Baseline.from_findings(
-            result.findings, reason="grandfathered by --write-baseline"
-        ).save(baseline_file)
-        print(
-            f"wrote {len(result.findings)} finding(s) to {baseline_file}",
-            file=out,
-        )
-        return 0
 
     print(render(result, args.format), file=out)
     return 0 if result.ok else 1

@@ -1,4 +1,4 @@
-"""The analysis engine: collect facts, run rules, apply suppressions/baseline.
+"""The analysis engine: collect facts, run rules, apply suppressions.
 
 The pipeline is deterministic and side-effect free:
 
@@ -10,9 +10,10 @@ The pipeline is deterministic and side-effect free:
 4. drop findings silenced by an inline ``# repro: allow[rule] reason``
    on the finding's line or the line above;
 5. emit ``suppression-hygiene`` findings for malformed, reason-less or
-   unused suppressions (a stale ``allow`` is itself a latent bug);
-6. split the survivors into *new* vs *baselined* against the checked-in
-   baseline — CI fails on any new finding.
+   unused suppressions (a stale ``allow`` is itself a latent bug).
+
+CI fails on any finding that survives: an inline ``allow`` with a reason
+is the one way to accept one.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.facts import ModuleFacts, Suppression, extract_module
 from repro.analysis.findings import SEVERITY_WARNING, Finding, Rule
 
@@ -50,19 +50,12 @@ class AnalysisResult:
 
     project: Project
     rules: List[Rule]
-    new: List[Finding]  #: actionable findings (not suppressed, not baselined)
-    baselined: List[Finding]
+    new: List[Finding]  #: actionable findings (not suppressed)
     suppressed: List[Finding]
-    baseline_size: int
-
-    @property
-    def findings(self) -> List[Finding]:
-        """New + baselined findings (everything except suppressed)."""
-        return self.new + self.baselined
 
     @property
     def ok(self) -> bool:
-        """Whether the tree is clean modulo the baseline."""
+        """Whether the tree is clean: every finding is suppressed."""
         return not self.new
 
 
@@ -146,11 +139,9 @@ def run_analysis(
     *,
     root: Path,
     rules: Sequence[Rule],
-    baseline: Optional[Baseline] = None,
 ) -> AnalysisResult:
     """Run the full pipeline and classify every finding."""
     project = collect(paths, root=root)
-    baseline = baseline if baseline is not None else Baseline()
 
     raw: List[Finding] = []
     for rule in rules:
@@ -172,14 +163,6 @@ def run_analysis(
 
     kept.extend(_hygiene_findings(project, used))
     kept.sort(key=lambda f: (f.path, f.line, f.rule, f.key))
-
-    new = [finding for finding in kept if not baseline.matches(finding)]
-    baselined = [finding for finding in kept if baseline.matches(finding)]
     return AnalysisResult(
-        project=project,
-        rules=list(rules),
-        new=new,
-        baselined=baselined,
-        suppressed=suppressed,
-        baseline_size=len(baseline),
+        project=project, rules=list(rules), new=kept, suppressed=suppressed
     )

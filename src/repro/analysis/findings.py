@@ -3,7 +3,7 @@
 A :class:`Finding` is one violation of one architectural invariant,
 anchored to a file and line.  Its ``key`` is a rule-specific *stable*
 identifier (an attribute name, a topic, an error class — never a line
-number) so baseline entries keep matching as unrelated lines move.
+number), so it names the same violation as unrelated lines move.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ class Finding:
     path: str  #: analysis-root-relative posix path
     line: int
     message: str
-    key: str  #: stable identifier used for baseline matching
+    key: str  #: stable identifier, independent of line numbers
 
     def to_payload(self) -> Dict[str, Any]:
-        """JSON-serializable form (the report/baseline entry shape)."""
+        """JSON-serializable form (the report entry shape)."""
         return {
             "rule": self.rule,
             "severity": self.severity,

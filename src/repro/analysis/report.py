@@ -20,8 +20,7 @@ FORMATS = ("text", "json", "github")
 def _summary(result: AnalysisResult) -> str:
     return (
         f"{len(result.project.modules)} modules, {len(result.rules)} rules: "
-        f"{len(result.new)} new finding(s), {len(result.baselined)} baselined, "
-        f"{len(result.suppressed)} suppressed (baseline size {result.baseline_size})"
+        f"{len(result.new)} new finding(s), {len(result.suppressed)} suppressed"
     )
 
 
@@ -30,11 +29,6 @@ def render_text(result: AnalysisResult) -> str:
     for finding in result.new:
         lines.append(
             f"{finding.path}:{finding.line}: {finding.severity} "
-            f"[{finding.rule}] {finding.message}"
-        )
-    for finding in result.baselined:
-        lines.append(
-            f"{finding.path}:{finding.line}: baselined "
             f"[{finding.rule}] {finding.message}"
         )
     lines.append(_summary(result))
@@ -70,9 +64,7 @@ def report_payload(result: AnalysisResult) -> Dict[str, Any]:
             for rule in result.rules
         ],
         "new": dump(result.new),
-        "baselined": dump(result.baselined),
         "suppressed": dump(result.suppressed),
-        "baseline_size": result.baseline_size,
         "ok": result.ok,
     }
 

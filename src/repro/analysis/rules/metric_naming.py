@@ -3,8 +3,8 @@
 Telemetry names are an API: dashboards, the Prometheus text endpoint and
 the CI benches all select series by name, so drift ("walBytes",
 "wal_append_count") quietly breaks panels without failing any test.
-Registration sites (``registry.counter/gauge/histogram`` and
-``latency_histogram``) with a literal name argument must satisfy:
+Registration sites (``registry.counter/gauge/histogram``) with a literal
+name argument must satisfy:
 
 * names match ``^[a-z][a-z0-9_]*$`` (Prometheus-safe snake_case);
 * counters end in ``_total`` (monotonic-counter convention);
@@ -25,7 +25,6 @@ _NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 _KINDS = {
     "counter": ("_total",),
     "histogram": ("_seconds", "_bytes"),
-    "latency_histogram": ("_seconds",),
     "gauge": (),
 }
 

@@ -1,13 +1,12 @@
 """Labeled metrics: counters, gauges and fixed-bucket streaming histograms.
 
 The registry is the one sink every instrumented layer reports through
-(gateway middleware, storage planner, WAL, streaming engines,
+(gateway request path, storage planner, WAL, streaming engines,
 compactor).  Three design rules keep it cheap enough to leave on in
 production:
 
 * **O(1) record** — a histogram observation is one bisect into a fixed
-  bucket table plus a few integer adds; no sample list is retained unless
-  the registry was built with ``keep_samples=True`` (a debug/test mode).
+  bucket table plus a few integer adds; no sample list is retained.
 * **Quantiles with bounded error** — p50/p95/p99 are estimated from the
   bucket counts: the estimate is the upper edge of the bucket holding the
   nearest-rank sample, clamped into ``[min, max]`` of the observed values.
@@ -107,16 +106,9 @@ class HistogramSeries:
         "total",
         "min",
         "max",
-        "samples",
     )
 
-    def __init__(
-        self,
-        bounds: Tuple[float, ...],
-        lock: threading.Lock,
-        *,
-        keep_samples: bool = False,
-    ) -> None:
+    def __init__(self, bounds: Tuple[float, ...], lock: threading.Lock) -> None:
         self._lock = lock
         self.bounds = bounds
         # counts[i] holds values <= bounds[i] (and > bounds[i-1]); the last
@@ -126,7 +118,6 @@ class HistogramSeries:
         self.total = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
-        self.samples: Optional[List[float]] = [] if keep_samples else None
 
     def record(self, value: float) -> None:
         """Record one observation (one bisect + integer adds)."""
@@ -140,8 +131,6 @@ class HistogramSeries:
                 self.min = value
             if self.max is None or value > self.max:
                 self.max = value
-            if self.samples is not None:
-                self.samples.append(value)
 
     observe = record
 
@@ -285,16 +274,14 @@ class HistogramFamily(_Family):
         lock: threading.Lock,
         *,
         buckets: Tuple[float, ...],
-        keep_samples: bool = False,
     ) -> None:
         super().__init__(name, help_text, label_names, lock)
         if not buckets or list(buckets) != sorted(set(buckets)):
             raise ValidationError("histogram buckets must be distinct and ascending")
         self.buckets = tuple(float(bound) for bound in buckets)
-        self._keep_samples = keep_samples
 
     def _new_series(self) -> HistogramSeries:
-        return HistogramSeries(self.buckets, self._lock, keep_samples=self._keep_samples)
+        return HistogramSeries(self.buckets, self._lock)
 
     def record(self, value: float, **labels: Any) -> None:
         """Shorthand: ``family.labels(**labels).record(value)``."""
@@ -316,11 +303,10 @@ class MetricsRegistry:
 
     enabled = True
 
-    def __init__(self, *, keep_samples: bool = False) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._families: Dict[str, _Family] = {}
         self._collectors: List[Callable[["MetricsRegistry"], None]] = []
-        self._keep_samples = keep_samples
 
     def _declare(self, name: str, factory: Callable[[], _Family], kind: str, labels: Tuple[str, ...]) -> _Family:
         family = self._families.get(name)
@@ -366,12 +352,7 @@ class MetricsRegistry:
         return self._declare(
             name,
             lambda: HistogramFamily(
-                name,
-                help,
-                names,
-                self._lock,
-                buckets=tuple(buckets),
-                keep_samples=self._keep_samples,
+                name, help, names, self._lock, buckets=tuple(buckets)
             ),
             "histogram",
             names,

@@ -25,14 +25,10 @@ fresh counters, exactly like a restarted one — see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 from repro.errors import PipelineError
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    MetricsRegistry,
-    NullRegistry,
-)
+from repro.obs.metrics import MetricsRegistry, NullRegistry
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.tracing import NullTracer, Tracer
 
@@ -44,27 +40,19 @@ class TelemetryConfig:
     ``enabled=False`` swaps in the null registry/tracer: instrumented call
     sites stay, each costing one no-op call (the <5 % budget asserted by
     ``BENCH_telemetry_overhead.json``).  ``slow_query_threshold_s`` gates
-    the slow-query log and slow-span recording;
-    ``slow_trace_threshold_s`` gates the slow-trace ring buffer.
-    ``keep_samples`` retains raw histogram samples for exact-reference
-    percentile tests — debug only, it makes histograms O(n) in memory.
+    the slow-query log and slow-span recording.  The rest is fixed: the
+    :class:`~repro.obs.tracing.Tracer` keeps the 128 most recent and slow
+    traces and calls a trace slow past 0.5 s, the
+    :class:`~repro.obs.slowlog.SlowQueryLog` keeps 256 entries, and
+    histograms use :data:`~repro.obs.metrics.DEFAULT_LATENCY_BUCKETS`.
     """
 
     enabled: bool = True
     slow_query_threshold_s: float = 0.050
-    slow_trace_threshold_s: float = 0.500
-    trace_buffer: int = 128
-    slow_query_buffer: int = 256
-    latency_buckets: Tuple[float, ...] = DEFAULT_LATENCY_BUCKETS
-    keep_samples: bool = False
 
     def __post_init__(self) -> None:
         if self.slow_query_threshold_s < 0:
             raise PipelineError("slow_query_threshold_s must be >= 0")
-        if self.slow_trace_threshold_s < 0:
-            raise PipelineError("slow_trace_threshold_s must be >= 0")
-        if self.trace_buffer < 1 or self.slow_query_buffer < 1:
-            raise PipelineError("telemetry buffers must be >= 1")
 
 
 class Telemetry:
@@ -73,17 +61,12 @@ class Telemetry:
     def __init__(self, config: TelemetryConfig = TelemetryConfig()) -> None:
         self._config = config
         if config.enabled:
-            self.metrics: Union[MetricsRegistry, NullRegistry] = MetricsRegistry(
-                keep_samples=config.keep_samples
-            )
-            self.tracer: Union[Tracer, NullTracer] = Tracer(
-                buffer=config.trace_buffer,
-                slow_threshold_s=config.slow_trace_threshold_s,
-            )
+            self.metrics: Union[MetricsRegistry, NullRegistry] = MetricsRegistry()
+            self.tracer: Union[Tracer, NullTracer] = Tracer()
         else:
             self.metrics = NullRegistry()
             self.tracer = NullTracer()
-        self.slow_queries = SlowQueryLog(maxlen=config.slow_query_buffer)
+        self.slow_queries = SlowQueryLog()
 
     @property
     def config(self) -> TelemetryConfig:
@@ -94,12 +77,6 @@ class Telemetry:
     def enabled(self) -> bool:
         """Whether real (non-null) telemetry is active."""
         return self._config.enabled
-
-    def latency_histogram(self, name: str, help: str = "", labels=()) :
-        """A histogram family on the configured latency buckets."""
-        return self.metrics.histogram(
-            name, help, labels, buckets=self._config.latency_buckets
-        )
 
     # Storage instrumentation ---------------------------------------------
 
@@ -122,7 +99,7 @@ class Telemetry:
             "Observed table operations by access strategy",
             labels=("database", "strategy"),
         )
-        latency = self.latency_histogram(
+        latency = self.metrics.histogram(
             "storage_query_seconds",
             "Table operation latency by database",
             labels=("database",),
@@ -181,7 +158,7 @@ class Telemetry:
         label = name if name is not None else sharded.name
         for index, shard_db in enumerate(sharded.databases):
             shard_db.set_query_observer(self.query_observer(label, shard=index))
-        fanout = self.latency_histogram(
+        fanout = self.metrics.histogram(
             "storage_fanout_seconds",
             "Cross-shard fan-out read latency by database",
             labels=("database", "table"),

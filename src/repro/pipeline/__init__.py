@@ -6,7 +6,7 @@ classification, user data (profiles, feedback, tracking) is managed, and the
 recommender produces context-aware plans that the public API serves to the
 clients.  RabbitMQ is replaced by an in-process publish/subscribe bus, and
 the "Public Rest API Server" by the :mod:`repro.pipeline.gateway` subsystem
-(declarative routes + middleware).
+(declarative routes behind one checked request path).
 """
 
 from repro.pipeline.messaging import Message, MessageBus

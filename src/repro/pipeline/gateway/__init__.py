@@ -1,7 +1,8 @@
 """The public API gateway subsystem.
 
 A declarative, versioned front door to :class:`~repro.pipeline.server.PphcrServer`:
-route table + middleware chain + batch ingest + paginated/cacheable reads.
+route table + one straight-line request path (trace, counters, error
+mapping, auth, rate limiting) + batch ingest + paginated/cacheable reads.
 See :mod:`repro.pipeline.gateway.gateway` for the subsystem overview and
 ``docs/ARCHITECTURE.md`` ("Gateway flow") for where it sits at runtime.
 """
@@ -10,11 +11,9 @@ from repro.pipeline.gateway.http import ApiRequest, ApiResponse
 from repro.pipeline.gateway.gateway import Gateway, GatewayConfig
 from repro.pipeline.gateway.middleware import (
     ApiKeyRegistry,
-    AuthMiddleware,
-    ExceptionMapperMiddleware,
-    MetricsMiddleware,
     RateLimitConfig,
-    RateLimitMiddleware,
+    RateLimiter,
+    authenticate,
     map_error,
 )
 from repro.pipeline.gateway.routing import RequestContext, Route, RouteTable
@@ -24,18 +23,16 @@ __all__ = [
     "ApiKeyRegistry",
     "ApiRequest",
     "ApiResponse",
-    "AuthMiddleware",
-    "ExceptionMapperMiddleware",
     "Field",
     "Gateway",
     "GatewayConfig",
-    "MetricsMiddleware",
     "Number",
     "RateLimitConfig",
-    "RateLimitMiddleware",
+    "RateLimiter",
     "RequestContext",
     "RequestSchema",
     "Route",
     "RouteTable",
+    "authenticate",
     "map_error",
 ]

@@ -7,10 +7,11 @@ with a declarative subsystem:
 * a **route table** — every ``/v1`` endpoint is one :class:`Route` entry
   (method, path template, handler, request schema) registered in
   :meth:`Gateway._register_routes`;
-* a **middleware chain** — auth token check, per-user token-bucket rate
-  limiting, request latency and status counts in the telemetry registry
-  and a single exception→status mapper (see
-  :mod:`repro.pipeline.gateway.middleware`);
+* **one request path** — :meth:`Gateway.handle` runs every request
+  straight through a trace and the request latency and status counters
+  (when telemetry is enabled), the single exception→status mapper, the
+  auth token check and per-user token-bucket rate limiting, in that
+  order (see :mod:`repro.pipeline.gateway.middleware`);
 * **batch ingest** — ``POST /v1/tracking/batch`` carries a buffered drive's
   worth of fixes into :meth:`UserManager.ingest_fixes(skip_stale=True)
   <repro.users.management.UserManager.ingest_fixes>` in one request (an
@@ -34,14 +35,15 @@ with a declarative subsystem:
   and ``GET /v1/clips/{clip_id}`` 200 is kept in a bounded map keyed by
   the same inputs as the clip ETag (route, clip id or cursor and page
   limit, clip-table version), so a repeated read skips the repository,
-  the body build and the encoder, while the middleware chain and the
-  ETag check still run per request.
+  the body build and the encoder, while the request path and the ETag
+  check still run per request.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
@@ -52,12 +54,9 @@ from repro.storage import Page as StoragePage
 from repro.pipeline.gateway.http import ApiRequest, ApiResponse, encode_body
 from repro.pipeline.gateway.middleware import (
     ApiKeyRegistry,
-    AuthMiddleware,
-    ExceptionMapperMiddleware,
-    MetricsMiddleware,
     RateLimitConfig,
-    RateLimitMiddleware,
-    TracingMiddleware,
+    RateLimiter,
+    authenticate,
     map_error,
 )
 from repro.pipeline.gateway.routing import RequestContext, Route, RouteTable
@@ -169,6 +168,12 @@ class _EncodedBodies:
         self.charged += charge
 
 
+#: Page size of the paginated reads when a request names no ``limit``, and
+#: the largest ``limit`` they honour.
+DEFAULT_PAGE_LIMIT = 50
+MAX_PAGE_LIMIT = 200
+
+
 @dataclass(frozen=True)
 class GatewayConfig:
     """Tunable parameters of the gateway.
@@ -182,14 +187,12 @@ class GatewayConfig:
 
     require_auth: bool = False
     rate_limit: RateLimitConfig = RateLimitConfig()
-    default_page_limit: int = 50
-    max_page_limit: int = 200
     recommendation_ttl_s: float = 60.0
     clock: Optional[Callable[[], float]] = None
 
 
 class Gateway:
-    """Dispatches :class:`ApiRequest` objects through middleware to routes."""
+    """Dispatches :class:`ApiRequest` objects down one checked path to routes."""
 
     def __init__(
         self,
@@ -201,43 +204,35 @@ class Gateway:
         self._server = server
         self._config = config
         self._auth = auth if auth is not None else ApiKeyRegistry()
+        self._limiter = RateLimiter(config.rate_limit, clock=config.clock)
         self._routes = RouteTable()
         self._register_routes()
         self._telemetry = server.telemetry
+        metrics = self._telemetry.metrics
+        # The gateway's only request counters: the ops endpoints, the
+        # dashboard and the tests all read them.
+        self._latency = metrics.histogram(
+            "api_request_seconds",
+            "Gateway request latency by route",
+            labels=("route",),
+        )
+        self._statuses = metrics.counter(
+            "api_requests_total",
+            "Gateway requests by route and status class",
+            labels=("route", "status_class"),
+        )
         self._encoded = _EncodedBodies()
-        self._encoded_results = self._telemetry.metrics.counter(
+        self._encoded_results = metrics.counter(
             "api_encoded_responses_total",
             "Clip and clip-page 200s served from the encoded-body map (hit) "
             "or built and encoded (miss)",
             labels=("route", "result"),
         )
-        # Resolved once per (route, result), as in MetricsMiddleware.
-        self._encoded_series: Dict[Tuple[str, str], object] = {}
-        middlewares = [
-            ExceptionMapperMiddleware(),
-            AuthMiddleware(self._auth, required=config.require_auth),
-            RateLimitMiddleware(config.rate_limit, clock=config.clock),
-        ]
-        if self._telemetry.enabled:
-            # Tracing outermost, so the trace covers the whole chain
-            # (including the metrics middleware's own timing) and every
-            # storage span opened during dispatch attaches to the request's
-            # trace.
-            middlewares[:0] = [
-                TracingMiddleware(self._telemetry.tracer),
-                MetricsMiddleware(self._telemetry.metrics),
-            ]
-        handler: Callable[[RequestContext], ApiResponse] = self._dispatch
-        for middleware in reversed(middlewares):
-            handler = self._wrap(middleware, handler)
-        self._chain = handler
-
-    @staticmethod
-    def _wrap(middleware, nxt):
-        def run(ctx: RequestContext) -> ApiResponse:
-            return middleware(ctx, nxt)
-
-        return run
+        # Resolved series are cached, per (route, status) and per (route,
+        # result), so the hot path pays one dict lookup, not labels()
+        # validations, per record.
+        self._request_series: Dict[Tuple[str, int], Tuple[Any, Any]] = {}
+        self._encoded_series: Dict[Tuple[str, str], Any] = {}
 
     # Component access -----------------------------------------------------
 
@@ -259,7 +254,14 @@ class Gateway:
     # Entry points ---------------------------------------------------------
 
     def handle(self, request: ApiRequest, *, wire: bool = False) -> ApiResponse:
-        """Run one request through the middleware chain to its route.
+        """Run one request down the gateway's single path to its route.
+
+        With telemetry enabled, a trace named after the matched route and
+        the request's latency and status counters wrap :meth:`_dispatch`
+        (error mapping, auth, rate limit, route), so every response, a 401
+        or 429 included, is timed, counted and traced with its status.  An
+        exception outside :class:`ReproError` propagates uncounted, and
+        its trace carries an ``error`` tag.
 
         A clip read served from the encoded-body map answers with its wire
         text alone.  With ``wire`` (:meth:`handle_wire`, which sends that
@@ -270,9 +272,20 @@ class Gateway:
         match = self._routes.match(request.method, request.path)
         if match is None:
             ctx = RequestContext(request=request, route=None)
+            route_name, route_path = "<unmatched>", request.path
         else:
             ctx = RequestContext(request=request, route=match[0], path_params=match[1])
-        response = self._chain(ctx)
+            route_name, route_path = match[0].name, match[0].path
+        if not self._telemetry.enabled:
+            response = self._dispatch(ctx)
+        else:
+            with self._telemetry.tracer.trace(
+                f"{request.method} {route_path}", method=request.method, path=request.path
+            ) as trace:
+                start = time.perf_counter()
+                response = self._dispatch(ctx)
+                self._count_request(route_name, response.status, time.perf_counter() - start)
+                trace.set_tag("status", response.status)
         if not wire and response.text is not None and not response.body:
             response = replace(response, body=json.loads(response.text))
         return response
@@ -340,18 +353,35 @@ class Gateway:
     # Dispatch -------------------------------------------------------------
 
     def _dispatch(self, ctx: RequestContext) -> ApiResponse:
-        if ctx.route is None:
-            allowed = self._routes.allowed_methods(ctx.request.path)
-            if allowed:
+        """:func:`map_error` around auth, the rate limit and the route.
+
+        :func:`authenticate` runs before :meth:`RateLimiter.admit`, so a
+        401 spends no rate-limit token.  Only :class:`ReproError` maps to
+        a status; anything else is a programming error and propagates.
+        """
+        try:
+            response = authenticate(ctx, self._auth, required=self._config.require_auth)
+            if response is None:
+                response = self._limiter.admit(ctx)
+            if response is not None:
+                return response
+            route = ctx.route
+            if route is None:
+                allowed = self._routes.allowed_methods(ctx.request.path)
+                if allowed:
+                    return ApiResponse(
+                        status=405,
+                        body={"error": f"method {ctx.request.method} not allowed"},
+                        headers={"allow": ", ".join(allowed)},
+                    )
                 return ApiResponse(
-                    status=405,
-                    body={"error": f"method {ctx.request.method} not allowed"},
-                    headers={"allow": ", ".join(allowed)},
+                    status=404, body={"error": f"no route for {ctx.request.path!r}"}
                 )
-            return ApiResponse(status=404, body={"error": f"no route for {ctx.request.path!r}"})
-        if ctx.route.request_schema is not None:
-            ctx.data = ctx.route.request_schema.validate(ctx.request.body)
-        return ctx.route.handler(ctx)
+            if route.request_schema is not None:
+                ctx.data = route.request_schema.validate(ctx.request.body)
+            return route.handler(ctx)
+        except ReproError as exc:
+            return map_error(exc)
 
     def _register_routes(self) -> None:
         add = self._routes.add
@@ -414,14 +444,14 @@ class Gateway:
     def _page_limit(self, ctx: RequestContext) -> int:
         raw = ctx.request.query.get("limit")
         if raw is None:
-            return self._config.default_page_limit
+            return DEFAULT_PAGE_LIMIT
         try:
             limit = int(raw)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"limit must be an integer, got {raw!r}") from exc
         if limit < 1:
             raise ValidationError(f"limit must be >= 1, got {limit}")
-        return min(limit, self._config.max_page_limit)
+        return min(limit, MAX_PAGE_LIMIT)
 
     @staticmethod
     def _fix_from(user_id: str, data: Dict[str, Any]) -> GpsFix:
@@ -455,6 +485,17 @@ class Gateway:
         self._encoded.put(key, text)
         self._count_encoded(key[0], "miss")
         return ApiResponse(status=200, body=body, headers=headers, text=text)
+
+    def _count_request(self, route_name: str, status: int, elapsed_s: float) -> None:
+        series = self._request_series.get((route_name, status))
+        if series is None:
+            series = (
+                self._latency.labels(route=route_name),
+                self._statuses.labels(route=route_name, status_class=f"{status // 100}xx"),
+            )
+            self._request_series[(route_name, status)] = series
+        series[0].record(elapsed_s)
+        series[1].inc()
 
     def _count_encoded(self, route_name: str, result: str) -> None:
         series = self._encoded_series.get((route_name, result))

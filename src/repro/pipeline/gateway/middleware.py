@@ -1,14 +1,17 @@
-"""The gateway's middleware chain: auth, rate limiting, metrics, errors.
+"""The gateway's per-request checks: error mapping, auth, rate limiting.
 
-Middleware are callables ``(ctx, next) -> ApiResponse`` composed once at
-gateway construction; each request then flows
+:meth:`Gateway.handle <repro.pipeline.gateway.gateway.Gateway.handle>`
+runs every request through one straight-line path,
 
-    [tracing -> metrics ->] exception mapper -> auth -> rate limit -> dispatch
+    [trace -> latency and status counters ->] map_error -> authenticate
+    -> RateLimiter.admit -> route
 
-(tracing and metrics join the chain only when telemetry is enabled), so
-*every* route — current and future — is metered, throttled and
-error-mapped identically.  The exception mapper is the single place the
-:mod:`repro.errors` taxonomy turns into statuses:
+(the trace and counters only when telemetry is enabled), so *every*
+route — current and future — is metered, throttled and error-mapped
+identically.  :func:`authenticate` and :meth:`RateLimiter.admit` each
+answer a rejection (401, 429) or ``None`` to let the request through.
+:func:`map_error` is the single place the :mod:`repro.errors` taxonomy
+turns into statuses:
 
 =============================  ======
 :class:`ValidationError`       400
@@ -35,9 +38,10 @@ undifferentiated 500.
 from __future__ import annotations
 
 import math
+import secrets
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.errors import (
     ClassificationError,
@@ -57,9 +61,6 @@ from repro.errors import (
 )
 from repro.pipeline.gateway.http import ApiResponse
 from repro.pipeline.gateway.routing import RequestContext
-from repro.util.ids import new_id
-
-Next = Callable[[RequestContext], ApiResponse]
 
 
 def map_error(exc: ReproError) -> ApiResponse:
@@ -92,23 +93,6 @@ def map_error(exc: ReproError) -> ApiResponse:
     return ApiResponse(status=status, body={"error": str(exc)})
 
 
-class ExceptionMapperMiddleware:
-    """Maps the library's exception taxonomy onto HTTP statuses.
-
-    This is the structural fix for the seed API's per-method ``try``/
-    ``except`` blocks (which, among other bugs, mapped feedback validation
-    failures to 404): handlers just raise, and the mapping lives here once
-    (:func:`map_error`).  Anything outside :class:`ReproError` propagates —
-    programming errors must not be masked as HTTP statuses.
-    """
-
-    def __call__(self, ctx: RequestContext, nxt: Next) -> ApiResponse:
-        try:
-            return nxt(ctx)
-        except ReproError as exc:
-            return map_error(exc)
-
-
 class ApiKeyRegistry:
     """Issued bearer tokens and the principals behind them."""
 
@@ -116,10 +100,10 @@ class ApiKeyRegistry:
         self._principals: Dict[str, str] = {}
 
     def issue(self, principal: str) -> str:
-        """Issue a new token for ``principal`` and return it."""
+        """Issue a new unguessable token for ``principal`` and return it."""
         if not principal:
             raise ValidationError("principal must be a non-empty string")
-        token = new_id("apikey")
+        token = secrets.token_urlsafe(32)
         self._principals[token] = principal
         return token
 
@@ -132,40 +116,36 @@ class ApiKeyRegistry:
         return self._principals.get(token)
 
 
-class AuthMiddleware:
-    """Resolves the ``Authorization`` header into ``ctx.principal``.
+def authenticate(
+    ctx: RequestContext, registry: ApiKeyRegistry, *, required: bool
+) -> Optional[ApiResponse]:
+    """Resolve the ``Authorization`` header into ``ctx.principal``.
 
-    With ``required=True`` a missing or unknown token is rejected with 401
-    before any handler (or rate-limit bucket) is touched; with
-    ``required=False`` a valid token still sets the principal so rate
-    limiting keys on it, but anonymous requests pass through.
+    Returns a 401 for an unknown token, or for a missing one when
+    ``required``; it runs before the rate limiter, so a rejected request
+    spends no bucket token.  With ``required=False`` a valid token still
+    sets the principal, so rate limiting keys on it, and anonymous
+    requests pass (``None``).
     """
-
-    def __init__(self, registry: ApiKeyRegistry, *, required: bool = False) -> None:
-        self._registry = registry
-        self._required = required
-
-    def __call__(self, ctx: RequestContext, nxt: Next) -> ApiResponse:
-        header = ctx.request.header("authorization")
-        token = None
-        if header:
-            token = header[7:] if header.lower().startswith("bearer ") else header
-        if token is not None:
-            principal = self._registry.principal_for(token)
-            if principal is None:
-                return ApiResponse(
-                    status=401,
-                    body={"error": "invalid auth token"},
-                    headers={"www-authenticate": "Bearer"},
-                )
-            ctx.principal = principal
-        elif self._required:
+    header = ctx.request.header("authorization")
+    if not header:
+        if required:
             return ApiResponse(
                 status=401,
                 body={"error": "missing auth token"},
                 headers={"www-authenticate": "Bearer"},
             )
-        return nxt(ctx)
+        return None
+    token = header[7:] if header.lower().startswith("bearer ") else header
+    principal = registry.principal_for(token)
+    if principal is None:
+        return ApiResponse(
+            status=401,
+            body={"error": "invalid auth token"},
+            headers={"www-authenticate": "Bearer"},
+        )
+    ctx.principal = principal
+    return None
 
 
 @dataclass(frozen=True)
@@ -200,7 +180,7 @@ class _TokenBucket:
 _SWEEP_MIN_BUCKETS = 256
 
 
-class RateLimitMiddleware:
+class RateLimiter:
     """Per-user token-bucket rate limiting.
 
     Buckets key on the authenticated principal when there is one, else on
@@ -247,7 +227,8 @@ class RateLimitMiddleware:
         }
         self._sweep_at = max(_SWEEP_MIN_BUCKETS, 2 * len(self._buckets))
 
-    def __call__(self, ctx: RequestContext, nxt: Next) -> ApiResponse:
+    def admit(self, ctx: RequestContext) -> Optional[ApiResponse]:
+        """Spend one token of the caller's bucket, or answer 429."""
         now_s = self._clock()
         key = self._key(ctx)
         bucket = self._buckets.get(key)
@@ -272,75 +253,4 @@ class RateLimitMiddleware:
                 headers={"retry-after": str(max(1, math.ceil(retry_after_s)))},
             )
         bucket.tokens -= 1.0
-        return nxt(ctx)
-
-
-class MetricsMiddleware:
-    """Records each request's latency and status in the metrics registry.
-
-    ``api_request_seconds{route}`` and ``api_requests_total{route,
-    status_class}`` are the gateway's only request counters: the ops
-    endpoints, the dashboard and the tests all read them.  Like
-    :class:`TracingMiddleware`, it joins the chain only when telemetry is
-    enabled.
-    """
-
-    def __init__(self, registry) -> None:
-        self._latency = registry.histogram(
-            "api_request_seconds",
-            "Gateway request latency by route",
-            labels=("route",),
-        )
-        self._statuses = registry.counter(
-            "api_requests_total",
-            "Gateway requests by route and status class",
-            labels=("route", "status_class"),
-        )
-        # Resolved series are cached per route / (route, class) so the hot
-        # path pays one dict lookup, not a labels() validation, per request.
-        self._latency_series: Dict[str, object] = {}
-        self._status_series: Dict[Tuple[str, str], object] = {}
-
-    def __call__(self, ctx: RequestContext, nxt: Next) -> ApiResponse:
-        start = time.perf_counter()
-        response = nxt(ctx)
-        elapsed_s = time.perf_counter() - start
-        route_name = ctx.route.name if ctx.route is not None else "<unmatched>"
-        latency = self._latency_series.get(route_name)
-        if latency is None:
-            latency = self._latency.labels(route=route_name)
-            self._latency_series[route_name] = latency
-        latency.record(elapsed_s)
-        status_class = f"{response.status // 100}xx"
-        status_key = (route_name, status_class)
-        statuses = self._status_series.get(status_key)
-        if statuses is None:
-            statuses = self._statuses.labels(route=route_name, status_class=status_class)
-            self._status_series[status_key] = statuses
-        statuses.inc()
-        return response
-
-
-class TracingMiddleware:
-    """Opens one trace per request, named after the matched route.
-
-    Sits outermost in the chain so the trace covers the entire middleware
-    stack and handler; the context is thread-local and every layer below
-    runs on the request's thread, so spans opened by storage attach to the
-    request's trace.  The response status lands as a trace tag after
-    dispatch.
-    """
-
-    def __init__(self, tracer) -> None:
-        self._tracer = tracer
-
-    def __call__(self, ctx: RequestContext, nxt: Next) -> ApiResponse:
-        route_path = ctx.route.path if ctx.route is not None else ctx.request.path
-        with self._tracer.trace(
-            f"{ctx.request.method} {route_path}",
-            method=ctx.request.method,
-            path=ctx.request.path,
-        ) as trace:
-            response = nxt(ctx)
-            trace.set_tag("status", response.status)
-            return response
+        return None

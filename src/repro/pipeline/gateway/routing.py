@@ -4,8 +4,9 @@ A :class:`Route` is data, not code: method + path template + handler +
 optional request schema.  The whole public surface of the gateway is the
 list of routes registered in one place
 (:meth:`~repro.pipeline.gateway.gateway.Gateway._register_routes`), which is
-what lets middleware meter, throttle and error-map every endpoint uniformly
-instead of per-method ``try``/``except`` blocks.
+what lets :meth:`Gateway.handle <repro.pipeline.gateway.gateway.Gateway.handle>`
+meter, throttle and error-map every endpoint uniformly instead of
+per-method ``try``/``except`` blocks.
 
 Path templates use ``{name}`` placeholders per segment
 (``/v1/users/{user_id}``); matched values are delivered to handlers as
@@ -24,11 +25,13 @@ from repro.pipeline.gateway.schema import RequestSchema
 
 @dataclass
 class RequestContext:
-    """Everything middleware and handlers need about one in-flight request.
+    """Everything the request path and handlers need about one request.
 
     ``data`` is the schema-validated body (populated at dispatch time) and
-    ``principal`` the authenticated caller (populated by the auth
-    middleware), so downstream middleware can key rate limits on it.
+    ``principal`` the authenticated caller (set by
+    :func:`~repro.pipeline.gateway.middleware.authenticate`), which
+    :meth:`RateLimiter.admit
+    <repro.pipeline.gateway.middleware.RateLimiter.admit>` keys buckets on.
     """
 
     request: ApiRequest

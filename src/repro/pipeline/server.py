@@ -121,7 +121,7 @@ class PphcrServer:
         self._telemetry.observe_sharded(self._users.feedback.database, name="feedbacks")
         self._telemetry.observe_sharded(self._users.tracking.database, name="tracking")
         if self._telemetry.enabled:
-            self._compaction_pass_seconds = self._telemetry.latency_histogram(
+            self._compaction_pass_seconds = self._telemetry.metrics.histogram(
                 "compaction_pass_seconds", "Wall time of compaction passes"
             )
             self._compaction_shard_seconds = self._telemetry.metrics.gauge(
@@ -171,9 +171,7 @@ class PphcrServer:
             bus=self._bus,
             metrics=self._telemetry.metrics if self._telemetry.enabled else None,
         )
-        self._users.add_fix_listener(
-            self._streaming.observe_fix, batch=self._streaming.observe_fixes
-        )
+        self._users.add_fix_listener(self._streaming.observe_fixes)
         self._compactor = ShardedCompactor(
             self._users.tracking, self._refresh_for_compaction, config=config.compaction
         )

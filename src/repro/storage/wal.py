@@ -524,7 +524,7 @@ class DurabilityManager:
             self._bytes = metrics.counter(
                 "wal_bytes_total", "Bytes appended to the write-ahead log"
             )
-            self._fsync_seconds = telemetry.latency_histogram(
+            self._fsync_seconds = metrics.histogram(
                 "wal_fsync_seconds",
                 "Time to flush (and fsync, when enabled) one WAL frame",
             )
@@ -571,7 +571,7 @@ class DurabilityManager:
         self._observe_sharded("feedbacks", server.users.feedback.database, record=True)
         self._observe_sharded("tracking", server.users.tracking.database, record=False)
         self._observe_database("content", server.content.database, record=False)
-        server.users.add_fix_listener(self._on_fix, batch=self._on_fixes)
+        server.users.add_fix_listener(self._on_fixes)
         server.content.set_op_listener(self._on_content_op)
         server.users.set_op_listener(self._on_users_op)
         server.users.tracking.set_op_listener(self._on_tracking_op)
@@ -655,9 +655,6 @@ class DurabilityManager:
                 }
             )
         self.append(shard, records)
-
-    def _on_fix(self, fix) -> None:
-        self._on_fixes([fix])
 
     def _on_fixes(self, fixes) -> None:
         if self.suspended or not fixes:

@@ -111,10 +111,6 @@ class ShardedStreamingEngine:
 
     # Fix intake ------------------------------------------------------------
 
-    def observe_fix(self, fix: GpsFix) -> List[Trajectory]:
-        """Consume one fix on the owning shard; returns completed trips."""
-        return self.engine_for(fix.user_id).observe_fix(fix)
-
     def observe_fixes(self, fixes) -> List[Trajectory]:
         """Consume a batch of fixes; returns all trips they completed.
 

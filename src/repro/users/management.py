@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.content.repository import ContentRepository
 from repro.errors import DuplicateError, NotFoundError, ValidationError
@@ -80,10 +80,8 @@ class UserManager:
         ]
         self._feedback = FeedbackStore(shards=shards)
         self._content = content
-        #: (per-fix listener, optional bulk form) pairs; see add_fix_listener.
-        self._fix_listeners: List[
-            Tuple[Callable[[GpsFix], None], Optional[Callable[[List[GpsFix]], None]]]
-        ] = []
+        #: Callables receiving each batch of accepted fixes; see add_fix_listener.
+        self._fix_listeners: List[Callable[[List[GpsFix]], None]] = []
         #: Durability hook: domain operations that mutate state no table
         #: row captures (preference seeding); see set_op_listener.
         self._op_listener = None
@@ -283,28 +281,25 @@ class UserManager:
         """The tracking (spatial) store."""
         return self._tracking
 
-    def add_fix_listener(
-        self,
-        listener: Callable[[GpsFix], None],
-        *,
-        batch: Optional[Callable[[List[GpsFix]], None]] = None,
-    ) -> None:
-        """Register a callback invoked for every fix accepted into storage.
+    def add_fix_listener(self, listener: Callable[[List[GpsFix]], None]) -> None:
+        """Register a callback receiving every batch of fixes accepted into storage.
 
-        The streaming mobility engine subscribes here so trip sessionization
-        and model maintenance happen inline with ingestion.  A listener may
-        also provide a ``batch`` form; :meth:`ingest_fixes` then delivers
-        each batch's accepted fixes in one call (same fixes, same per-user
-        order) instead of paying the callback per fix.
+        The streaming mobility engine and the write-ahead log subscribe
+        here, so trip sessionization, model maintenance and logging happen
+        inline with ingestion.  Each call carries one batch's accepted
+        fixes, in the order they were stored (a single :meth:`ingest_fix`
+        is a batch of one); listeners run in registration order.
         """
-        self._fix_listeners.append((listener, batch))
+        self._fix_listeners.append(listener)
 
     def ingest_fix(self, fix: GpsFix) -> None:
-        """Store a GPS fix for a registered user."""
-        self.profile(fix.user_id)
-        self._tracking.add_fix(fix)
-        for listener, _batch in self._fix_listeners:
-            listener(fix)
+        """Store one GPS fix for a registered user: a batch of one.
+
+        Raises as :meth:`ingest_fixes` does without ``skip_stale``: an
+        unknown user is a :class:`NotFoundError`, a fix older than the
+        user's latest stored fix a :class:`ValidationError`.
+        """
+        self.ingest_fixes([fix])
 
     def ingest_fixes(self, fixes: List[GpsFix], *, skip_stale: bool = False) -> int:
         """Store many GPS fixes; returns how many were accepted.
@@ -314,12 +309,10 @@ class UserManager:
         replays a drive whose first fixes were already uploaded, and what
         the gateway's batch tracking endpoint relies on.
 
-        This is the batch ingest fast path: the registration check and the
-        latest-timestamp read happen once per user per batch instead of
-        once per fix, and listeners registered with a ``batch`` form (the
-        streaming engine) receive the accepted fixes in one call — same
-        fixes, same per-user order as per-fix :meth:`ingest_fix`, without
-        re-paying the per-fix callback overhead.
+        The registration check and the latest-timestamp read happen once
+        per user per batch, not once per fix, and every fix listener
+        receives the accepted fixes in one call (same fixes, same per-user
+        order as they were stored).
 
         Every batch is atomic, in every shard layout: the whole batch is
         validated first (:meth:`_prepare_group`, read-only) and only then
@@ -369,12 +362,8 @@ class UserManager:
         tracking = self._tracking
         for fix in accepted:
             tracking.add_fix(fix)
-        for listener, batch_listener in self._fix_listeners:
-            if batch_listener is not None:
-                batch_listener(accepted)
-            else:
-                for fix in accepted:
-                    listener(fix)
+        for listener in self._fix_listeners:
+            listener(accepted)
         return len(accepted)
 
     # WAL replay -----------------------------------------------------------

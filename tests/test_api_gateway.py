@@ -1,8 +1,8 @@
-"""Tests for the public API gateway: routes, middleware, batching, caching.
+"""Tests for the public API gateway: routes, request path, batching, caching.
 
-Covers every ``/v1`` route's success *and* error paths, the middleware
-chain (auth 401s, token-bucket 429s, metrics, exception mapping), batch
-ingest parity with the single-fix path, cursor pagination, ETag/304
+Covers every ``/v1`` route's success *and* error paths, the request path
+and its order (auth 401s, token-bucket 429s, metrics, exception mapping),
+batch ingest parity with the single-fix path, cursor pagination, ETag/304
 revalidation, the wire-level JSON entry point, and the server's
 round-robin maintenance tick.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -19,9 +20,10 @@ from repro.content import AudioClip, ContentKind
 from repro.content.model import RadioService
 from repro.errors import ValidationError
 from repro.pipeline.gateway.http import ApiRequest, ApiResponse
-from repro.pipeline.gateway.middleware import RateLimitMiddleware
+from repro.pipeline.gateway.middleware import RateLimiter
 from repro.pipeline.gateway.routing import RequestContext, Route
 from repro.pipeline import (
+    ApiKeyRegistry,
     Gateway,
     GatewayConfig,
     PphcrServer,
@@ -962,23 +964,23 @@ class TestMiddleware:
         # the monotonic clock: each bucket refills within 9 ms, so sweeps
         # keep the map small instead of one entry per anonymous caller.
         clock = {"now": 0.0}
-        limiter = RateLimitMiddleware(RateLimitConfig(), clock=lambda: clock["now"])
+        limiter = RateLimiter(RateLimitConfig(), clock=lambda: clock["now"])
         not_found = ApiResponse(status=404, body={"error": "no such user"})
         for index in range(5000):
             clock["now"] += 0.001
-            response = limiter(self._user_context(f"ghost-{index}"), lambda ctx: not_found)
+            response = limiter.admit(self._user_context(f"ghost-{index}")) or not_found
             assert response.status == 404
         assert len(limiter._buckets) <= 256
 
     def test_rate_limiter_sweeps_change_no_decision(self):
-        class NeverSweeps(RateLimitMiddleware):
+        class NeverSweeps(RateLimiter):
             def _sweep(self, now_s):
                 pass
 
         rng = random.Random(20)
         clock = {"now": 0.0}
         config = RateLimitConfig(capacity=3.0, refill_per_s=1.0)
-        sweeping = RateLimitMiddleware(config, clock=lambda: clock["now"])
+        sweeping = RateLimiter(config, clock=lambda: clock["now"])
         reference = NeverSweeps(config, clock=lambda: clock["now"])
         ok = ApiResponse(status=200, body={})
         hot = [f"listener-{index}" for index in range(5)]
@@ -998,18 +1000,131 @@ class TestMiddleware:
                 user_id = f"ghost-{index}"
             revived += user_id in reference._buckets and user_id not in sweeping._buckets
             for name, limiter in (("sweeping", sweeping), ("reference", reference)):
-                response = limiter(self._user_context(user_id), lambda ctx: ok)
+                response = limiter.admit(self._user_context(user_id)) or ok
                 decisions[name].append((response.status, response.header("retry-after")))
         assert decisions["sweeping"] == decisions["reference"]
         assert sum(status == 429 for status, _ in decisions["sweeping"]) > 100
         assert revived > 10
         assert len(sweeping._buckets) < 256 < len(reference._buckets)
 
+    def test_api_keys_are_unguessable(self):
+        registry = ApiKeyRegistry()
+        tokens = [registry.issue("alice") for _ in range(50)] + [registry.issue("bob")]
+        assert len(set(tokens)) == len(tokens)
+        for token in tokens:
+            assert len(token) >= 32
+            assert re.fullmatch(r"apikey-\d+", token) is None
+        assert registry.principal_for(tokens[0]) == "alice"
+        assert registry.principal_for(tokens[-1]) == "bob"
+
+
+class TestRequestPath:
+    """What the order of the per-request checks guarantees.
+
+    Every request runs trace -> latency and status counters -> error
+    mapping -> auth -> rate limit -> route; each test pins one consequence
+    of that order.
+    """
+
+    ROUTE = "GET /v1/users/{user_id}"
+
+    @staticmethod
+    def _gateway():
+        # Two tokens per caller and a frozen clock: nothing refills.
+        config = GatewayConfig(
+            require_auth=True,
+            rate_limit=RateLimitConfig(capacity=2.0, refill_per_s=1.0),
+            clock=lambda: 0.0,
+        )
+        server, gateway = make_gateway(config=config)
+        server.register_user(UserProfile(user_id="bob", display_name="Bob"))
+        return server, gateway
+
+    @staticmethod
+    def _bearer(gateway, principal):
+        return {"Authorization": f"Bearer {gateway.auth.issue(principal)}"}
+
+    @staticmethod
+    def _counted(server):
+        snapshot = server.telemetry.metrics_snapshot()
+        statuses = {
+            (entry["labels"]["route"], entry["labels"]["status_class"]): entry["value"]
+            for entry in snapshot["counters"]["api_requests_total"]["series"]
+        }
+        latency = {
+            entry["labels"]["route"]: entry["count"]
+            for entry in snapshot["histograms"]["api_request_seconds"]["series"]
+        }
+        return statuses, latency
+
+    def test_a_401_spends_no_rate_limit_token(self):
+        _server, gateway = self._gateway()
+        token = self._bearer(gateway, "alice")
+        bad = {"Authorization": "Bearer nope"}
+        for _ in range(5):
+            assert gateway.request("GET", "/v1/users/alice").status == 401
+            assert gateway.request("GET", "/v1/users/alice", headers=bad).status == 401
+        # The rejected requests named alice's path but spent nothing, so
+        # her bucket still admits exactly its capacity.
+        statuses = [
+            gateway.request("GET", "/v1/users/alice", headers=token).status
+            for _ in range(3)
+        ]
+        assert statuses == [200, 200, 429]
+
+    def test_401_and_429_are_counted_once_and_traced_with_their_status(self):
+        server, gateway = self._gateway()
+        token = self._bearer(gateway, "alice")
+        assert gateway.request("GET", "/v1/users/alice").status == 401
+        statuses = [
+            gateway.request("GET", "/v1/users/alice", headers=token).status
+            for _ in range(3)
+        ]
+        assert statuses == [200, 200, 429]
+        assert self._counted(server) == (
+            {(self.ROUTE, "4xx"): 2.0, (self.ROUTE, "2xx"): 2.0},
+            {self.ROUTE: 4},
+        )
+        traces = list(reversed(server.telemetry.tracer.recent(10)))
+        assert [(trace["name"], trace["tags"]["status"]) for trace in traces] == [
+            (self.ROUTE, 401),
+            (self.ROUTE, 200),
+            (self.ROUTE, 200),
+            (self.ROUTE, 429),
+        ]
+
+    def test_a_valid_tokens_principal_keys_the_bucket(self):
+        _server, gateway = self._gateway()
+        alice = self._bearer(gateway, "alice")
+        # alice's token spends alice's bucket whichever user the path names.
+        assert gateway.request("GET", "/v1/users/alice", headers=alice).status == 200
+        assert gateway.request("GET", "/v1/users/bob", headers=alice).status == 200
+        assert gateway.request("GET", "/v1/users/bob", headers=alice).status == 429
+        # bob's own token draws on a bucket nothing has touched yet.
+        bob = self._bearer(gateway, "bob")
+        assert gateway.request("GET", "/v1/users/bob", headers=bob).status == 200
+        assert gateway.request("GET", "/v1/users/alice", headers=bob).status == 200
+
+    def test_a_programming_error_propagates_traced_and_uncounted(self):
+        server, gateway = make_gateway()
+
+        def broken(ctx):
+            raise KeyError("not a ReproError")
+
+        gateway._routes.add(Route("GET", "/v1/_broken", broken))
+        with pytest.raises(KeyError):
+            gateway.request("GET", "/v1/_broken")
+        (trace,) = server.telemetry.tracer.recent(10)
+        assert trace["name"] == "GET /v1/_broken"
+        assert "KeyError" in trace["tags"]["error"]
+        assert "status" not in trace["tags"]
+        assert self._counted(server) == ({}, {})
+
 
 class TestErrorTaxonomyWire:
     """Every ReproError subclass maps to its documented wire status.
 
-    A throwaway route raises each class through the full middleware chain,
+    A throwaway route raises each class through the full request path,
     so the assertion covers the real dispatch path — not map_error in
     isolation.  The expectation table doubles as a completeness check:
     a new subclass in repro.errors fails here (and in the

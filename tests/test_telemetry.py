@@ -27,6 +27,7 @@ import pytest
 from repro.errors import PipelineError, ValidationError
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
+    HistogramSeries,
     MetricsRegistry,
     NullRegistry,
     NullTracer,
@@ -231,10 +232,18 @@ def _drive_mixed_workload(gateway):
     assert status == 200
 
 
-def test_ops_metrics_percentiles_match_exact_reference():
-    server, gateway = _telemetry_server(
-        telemetry=TelemetryConfig(keep_samples=True)
-    )
+def test_ops_metrics_percentiles_match_exact_reference(monkeypatch):
+    # The registry keeps no raw samples: collect each series' values by
+    # wrapping HistogramSeries.record for the duration of the test.
+    recorded = {}
+    record = HistogramSeries.record
+
+    def record_and_keep(series, value):
+        recorded.setdefault(series, []).append(float(value))
+        record(series, value)
+
+    monkeypatch.setattr(HistogramSeries, "record", record_and_keep)
+    server, gateway = _telemetry_server()
     _drive_mixed_workload(gateway)
     status, body, _ = gateway.handle_wire("GET", "/v1/ops/metrics")
     assert status == 200
@@ -248,7 +257,7 @@ def test_ops_metrics_percentiles_match_exact_reference():
     for entry in latency["series"]:
         route = entry["labels"]["route"]
         series = family.labels(route=route)
-        samples = series.samples
+        samples = recorded.get(series)
         assert samples and len(samples) == entry["count"]
         for name, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
             exact = _exact_nearest_rank(samples, q)
@@ -614,8 +623,6 @@ def test_disabled_telemetry_is_a_noop_everywhere():
 def test_telemetry_config_validates():
     with pytest.raises(PipelineError):
         TelemetryConfig(slow_query_threshold_s=-1.0)
-    with pytest.raises(PipelineError):
-        TelemetryConfig(trace_buffer=0)
 
 
 def test_telemetry_excluded_from_server_snapshot_by_design():
