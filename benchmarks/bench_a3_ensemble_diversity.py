@@ -31,7 +31,7 @@ def prepare_ranking(world, commuter):
     )
     compound = CompoundScorer(
         ContentBasedScorer(server.content, server.users),
-        context_weight=server.config.context_weight,
+        context_weight=server.compound_scorer.context_weight,
     )
     return compound.rank(candidates, context)
 

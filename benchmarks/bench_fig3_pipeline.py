@@ -13,7 +13,6 @@ from conftest import format_table, write_result
 from repro.asr import SyntheticNewsCorpus
 from repro.content.model import AudioClip, ContentKind
 from repro.pipeline import PphcrServer
-from repro.storage.wal import WAL_LOGGED_TOPICS, WAL_SUPPRESSED_TOPICS
 from repro.util.ids import new_id
 
 
@@ -73,19 +72,13 @@ def test_fig3_recommendation_path(benchmark, bench_world):
         return server.recommend(commuter.user_id, now_s=observe, drive_elapsed_s=240.0)
 
     # Count a fixed amount of work, not however many times the benchmark
-    # calls recommend: the world build (nothing subscribes during it, so the
-    # bus's exact dead-letter tally counts each of its messages once) plus
-    # one ingest-and-recommend pass, counted by a subscriber on every topic.
-    counters = server.telemetry.metrics_snapshot()["counters"]
-    build_messages = sum(
-        entry["value"] for entry in counters["bus_dead_letters_total"]["series"]
-    )
-    pass_messages = []
-    for topic in sorted(WAL_LOGGED_TOPICS | WAL_SUPPRESSED_TOPICS):
-        server.bus.subscribe(topic, pass_messages.append)
+    # calls recommend: the world build plus one ingest-and-recommend pass.
     server.users.ingest_fixes(drive.fixes(until_s=observe), skip_stale=True)
     recommend_once()
-    bus_messages = int(build_messages) + len(pass_messages)
+    counters = server.telemetry.metrics_snapshot()["counters"]
+    bus_messages = int(
+        sum(entry["value"] for entry in counters["bus_published_total"]["series"])
+    )
 
     decision = benchmark(recommend_once)
     assert decision is not None

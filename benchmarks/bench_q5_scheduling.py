@@ -53,7 +53,7 @@ def prepare(world):
         commuter.user_id, now_s=observe
     )
     content_scorer = ContentBasedScorer(server.content, server.users)
-    compound = CompoundScorer(content_scorer, context_weight=server.config.context_weight)
+    compound = CompoundScorer(content_scorer, context_weight=server.compound_scorer.context_weight)
     rankings = {
         "compound": compound.rank(candidates, context),
         "random": RandomRecommender(seed=5).rank(candidates, context),

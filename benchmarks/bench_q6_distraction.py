@@ -24,7 +24,7 @@ def evaluate_population(world, *, max_users=8):
     server = world.server
     planner = server.route_planner
     content_scorer = ContentBasedScorer(server.content, server.users)
-    compound = CompoundScorer(content_scorer, context_weight=server.config.context_weight)
+    compound = CompoundScorer(content_scorer, context_weight=server.compound_scorer.context_weight)
     scheduler = Scheduler()
     rows = []
     totals = {"with_model": 0, "without_model": 0, "boundaries": 0}

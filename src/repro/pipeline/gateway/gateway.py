@@ -123,9 +123,8 @@ FEEDBACK_SCHEMA = RequestSchema(fields=FEEDBACK_FIELDS)
 #: is charged the size of its JSON text and of the client-supplied string
 #: in its key (clip id or cursor), plus :data:`_ENTRY_OVERHEAD`, so the
 #: constant bounds the map's memory keys included.  The oldest entries are
-#: evicted first, as the bus rings drop their oldest messages
-#: (``HISTORY_SIZE``).  ``browse``-shaped traffic (a 1,500-clip catalogue
-#: read by page and by clip) keeps about 1.1 MB of entries live.
+#: evicted first.  ``browse``-shaped traffic (a 1,500-clip catalogue read
+#: by page and by clip) keeps about 1.1 MB of entries live.
 ENCODED_BUDGET_BYTES = 2 << 20
 
 #: Bytes an entry holds besides its two strings: the ordered map's slot
@@ -718,9 +717,9 @@ class Gateway:
             accepted = self._server.users.ingest_fixes(fixes, skip_stale=True)
         except ReproError as exc:
             # Surface the aborted batch on the bus before the error maps to
-            # a wire status: with no subscriber the message dead-letters
-            # (reason ``no_subscriber``), giving operators a durable record
-            # of every rejected multi-user batch alongside the 5xx trace.
+            # a wire status: ``bus_published_total`` counts it alongside the
+            # 5xx trace, and a consumer that needs each rejected batch's
+            # users and error subscribes to the topic.
             self._server.bus.publish(
                 "tracking.batch_failed",
                 {

@@ -11,29 +11,32 @@ Responsibilities, mirroring the paper's architecture diagram:
   data (trajectory mining, destination and ΔT prediction, distraction
   zones) and runs the proactive engine to produce recommendation plans.
 * **Communication** — every significant step publishes a message on the
-  internal bus, which the dashboard and the tests can observe.
+  internal bus.  Each publish is counted in ``bus_published_total{topic}``,
+  which the dashboard reads with the rest of the metrics registry; a
+  consumer that needs the messages themselves (the tests, the chaos
+  harness) subscribes a handler.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.asr import SimulatedTranscriber
 from repro.client.editorial import EditorialDesk
 from repro.content.model import AudioClip, ContentKind
 from repro.content.repository import ContentRepository
-from repro.errors import NotFoundError, PipelineError
+from repro.errors import NotFoundError, PipelineError, PredictionError
 from repro.obs import Telemetry, TelemetryConfig
 from repro.pipeline.messaging import MessageBus
 from repro.recommender.compound import CompoundScorer
-from repro.recommender.content_based import CandidateFilter, CandidateFilterConfig, ContentBasedScorer
+from repro.recommender.content_based import CandidateFilter, ContentBasedScorer
 from repro.recommender.context import ListenerContext
 from repro.recommender.context_relevance import ContextScorer
 from repro.recommender.distraction import DistractionModel
-from repro.recommender.proactive import ProactiveConfig, ProactiveDecision, ProactiveEngine
-from repro.recommender.scheduling import Scheduler, SchedulerPolicy
+from repro.recommender.proactive import ProactiveDecision, ProactiveEngine
+from repro.recommender.scheduling import Scheduler
 from repro.roadnet.generator import City
 from repro.roadnet.intersections import distraction_zones_along, route_complexity
 from repro.roadnet.routing import RoutePlanner
@@ -41,7 +44,6 @@ from repro.spatialdb import SpatialQueryEngine
 from repro.storage.sharding import ShardingConfig
 from repro.storage.wal import DurabilityConfig, DurabilityManager
 from repro.streaming.compactor import CompactionConfig, ShardedCompactor
-from repro.streaming.engine import StreamingConfig
 from repro.streaming.sharded import ShardedStreamingEngine
 from repro.textclass import NaiveBayesClassifier
 from repro.trajectory import DestinationPredictor, Trajectory, TravelTimePredictor
@@ -51,17 +53,18 @@ from repro.users.management import UserManager
 from repro.users.profile import UserProfile
 
 
+#: Target word error rate of the simulated ASR on spoken clips.  The
+#: transcriber's own default is 0.15, so the server's rate stays explicit.
+ASR_TARGET_WER = 0.12
+
+#: Finalized trips a live streaming model needs before the server serves it.
+MIN_TRIPS_FOR_MODEL = 2
+
+
 @dataclass(frozen=True)
 class ServerConfig:
     """Tunable parameters of the server-side pipeline."""
 
-    context_weight: float = 0.45
-    scheduler_policy: SchedulerPolicy = SchedulerPolicy.GREEDY
-    proactive: ProactiveConfig = ProactiveConfig()
-    candidate_filter: CandidateFilterConfig = CandidateFilterConfig()
-    asr_target_wer: float = 0.12
-    min_trips_for_model: int = 2
-    streaming: StreamingConfig = StreamingConfig()
     compaction: CompactionConfig = CompactionConfig()
     #: Shard layout of all per-user state (tracking, profiles, feedback,
     #: streaming models).  ``shards`` must stay constant across snapshots
@@ -101,6 +104,10 @@ class _UserMobilityModel:
 class PphcrServer:
     """The integrated Proactive Personalized Hybrid Content Radio server."""
 
+    #: Telemetry wiring, not state: resolved metric series live in the
+    #: registry, and the cache refills on the next fallback.
+    SNAPSHOT_EXEMPT = ("_degraded_series",)
+
     def __init__(
         self,
         *,
@@ -110,8 +117,14 @@ class PphcrServer:
     ) -> None:
         self._config = config
         self._telemetry = Telemetry(config.telemetry)
-        self._bus = MessageBus()
-        self._bus.attach_metrics(self._telemetry.metrics)
+        self._bus = MessageBus(self._telemetry.metrics)
+        self._degraded_total = self._telemetry.metrics.counter(
+            "recommend_degraded_total",
+            help="Recommend-tick fallbacks by reason.",
+            labels=("reason",),
+        )
+        # Resolved ``recommend_degraded_total{reason}`` series by reason.
+        self._degraded_series: Dict[str, Any] = {}
         self._content = ContentRepository()
         self._users = UserManager(content=self._content, shards=config.sharding.shards)
         # Storage telemetry: query observers on every table plus pull-time
@@ -139,7 +152,7 @@ class PphcrServer:
         self._editorial = EditorialDesk()
         self._city = city
         self._planner = RoutePlanner(city.network) if city is not None else None
-        self._transcriber = SimulatedTranscriber(target_wer=config.asr_target_wer)
+        self._transcriber = SimulatedTranscriber(target_wer=ASR_TARGET_WER)
         self._classifier = classifier
         # The corpus train_classifier() last fitted on, so snapshot/WAL
         # replay can rebuild the classifier; None means "as constructed"
@@ -149,14 +162,10 @@ class PphcrServer:
         # The repository's grid index over geo-tag centres lets context
         # scoring prune clips whose footprint cannot reach the route.
         self._context_scorer = ContextScorer(geo_index=self._content.geo_index)
-        self._compound = CompoundScorer(
-            self._content_scorer, self._context_scorer, context_weight=config.context_weight
-        )
-        self._filter = CandidateFilter(self._content, self._users, config.candidate_filter)
-        self._scheduler = Scheduler(policy=config.scheduler_policy)
-        self._engine = ProactiveEngine(
-            self._filter, self._compound, self._scheduler, config.proactive
-        )
+        self._compound = CompoundScorer(self._content_scorer, self._context_scorer)
+        self._filter = CandidateFilter(self._content, self._users)
+        self._scheduler = Scheduler()
+        self._engine = ProactiveEngine(self._filter, self._compound, self._scheduler)
         self._mobility_models: Dict[str, _UserMobilityModel] = {}
         # Converted streaming snapshots served by mobility_model(), keyed by
         # the engine's (epoch, trip_count) so a stale copy is never reused.
@@ -166,7 +175,6 @@ class PphcrServer:
         # ingested fix flows through the online sessionizer/incremental
         # miner, so neither serving nor compaction re-reads raw histories.
         self._streaming = ShardedStreamingEngine(
-            config.streaming,
             shards=config.sharding.shards,
             bus=self._bus,
             metrics=self._telemetry.metrics if self._telemetry.enabled else None,
@@ -418,7 +426,7 @@ class PphcrServer:
         snapshot = self._streaming.model_snapshot(user_id)
         if (
             snapshot is None
-            or snapshot.trip_count < self._config.min_trips_for_model
+            or snapshot.trip_count < MIN_TRIPS_FOR_MODEL
             or not snapshot.stay_points
         ):
             return None
@@ -718,12 +726,13 @@ class PphcrServer:
                 model = self.mobility_model(user_id)
             except PipelineError:
                 model = None
+                self._degraded("no_mobility_model")
             if model is not None and model.stay_points:
                 try:
                     predictor = DestinationPredictor(model.stay_points, model.clusters)
                     destination_prediction = predictor.most_likely(partial)
-                except Exception:  # noqa: BLE001 - prediction failure just means "no proactivity"
-                    destination_prediction = None
+                except PredictionError:  # no destination just means "no proactivity"
+                    self._degraded("no_destination")
             if destination_prediction is not None:
                 cluster = None
                 if model is not None:
@@ -746,8 +755,8 @@ class PphcrServer:
                         cluster=cluster,
                         fraction_completed=fraction,
                     )
-                except Exception:  # noqa: BLE001
-                    travel_time = None
+                except PredictionError:
+                    self._degraded("no_travel_time")
                 if self._planner is not None:
                     try:
                         route = self._planner.route_between_points(
@@ -760,6 +769,7 @@ class PphcrServer:
                         complexity = route_complexity(self._city.network, route)
                     except NotFoundError:
                         route_geometry = None
+                        self._degraded("no_route")
 
         context = ListenerContext(
             user_id=user_id,
@@ -784,6 +794,13 @@ class PphcrServer:
         )
         return context
 
+    def _degraded(self, reason: str) -> None:
+        """Count one recommend-tick fallback in ``recommend_degraded_total``."""
+        series = self._degraded_series.get(reason)
+        if series is None:
+            series = self._degraded_series[reason] = self._degraded_total.labels(reason=reason)
+        series.inc()
+
     # Recommendation -------------------------------------------------------------
 
     def recommend(
@@ -798,7 +815,7 @@ class PphcrServer:
         listener_context = context if context is not None else self.build_context(user_id, now_s=now_s)
         elapsed = drive_elapsed_s
         if elapsed is None:
-            elapsed = self._config.proactive.min_drive_elapsed_s if listener_context.is_driving else 0.0
+            elapsed = self._engine.config.min_drive_elapsed_s if listener_context.is_driving else 0.0
         distraction = (
             DistractionModel(listener_context.distraction_zones)
             if listener_context.distraction_zones

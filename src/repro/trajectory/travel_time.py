@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.errors import PredictionError
+from repro.errors import NotFoundError, PredictionError
 from repro.geo import GeoPoint
 from repro.roadnet.routing import RoutePlanner
 from repro.trajectory.clustering import RouteCluster
@@ -101,7 +101,7 @@ class TravelTimePredictor:
             factor = self._congestion.get(bucket, 1.0)
             try:
                 network_s = self._planner.travel_time_s(current_position, destination) * factor
-            except Exception:  # noqa: BLE001 - no route is a legitimate outcome
+            except NotFoundError:  # no route is a legitimate outcome
                 network_s = None
 
         if history_s is None and network_s is None:

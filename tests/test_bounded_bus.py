@@ -1,10 +1,11 @@
-"""The message bus keeps bounded history and exact counts under sustained traffic.
+"""The message bus keeps bounded state and exact counts under sustained traffic.
 
-``MessageBus`` retains the last ``HISTORY_SIZE`` messages and the last
-``HISTORY_SIZE`` dead-letter records per (topic, reason); the dead-letter
-counter comes from an exact tally.  The soak test drives the gateway's wire
-entry point long enough to fill every ring and checks that the bus holds
-the same amount of state at the end as halfway through.
+``MessageBus`` counts every publish in ``bus_published_total{topic}`` and
+keeps no message history; only a failed delivery is a dead letter, and it
+retains the last ``HISTORY_SIZE`` dead-letter records while
+``bus_dead_letters_total`` counts every one.  The soak test drives the
+gateway's wire entry point long enough to fill any ring and checks that a
+clean run leaves the bus with nothing to hold.
 """
 
 from __future__ import annotations
@@ -18,69 +19,95 @@ from repro.pipeline import Gateway, GatewayConfig, PphcrServer
 from repro.pipeline.messaging import HISTORY_SIZE, MessageBus
 
 
+def _counts(registry):
+    """``bus_published_total`` by topic and ``bus_dead_letters_total`` by
+    (topic, reason), as plain dicts."""
+    counters = registry.snapshot()["counters"]
+    published = {
+        entry["labels"]["topic"]: entry["value"]
+        for entry in counters["bus_published_total"]["series"]
+    }
+    dead = {
+        (entry["labels"]["topic"], entry["labels"]["reason"]): entry["value"]
+        for entry in counters["bus_dead_letters_total"]["series"]
+    }
+    return published, dead
+
+
+def _crashing_consumer(message):
+    raise RuntimeError("consumer down")
+
+
 def test_history_is_bounded_and_the_counter_stays_exact():
-    bus = MessageBus()
-    for index in range(3 * HISTORY_SIZE):
-        bus.publish("orphan.topic", {"index": index})
-    recent = bus.published_messages()
-    assert len(recent) == HISTORY_SIZE
-    assert [message.body["index"] for message in recent] == list(
-        range(2 * HISTORY_SIZE, 3 * HISTORY_SIZE)
-    )
-    assert len(bus.dead_letter_records()) == HISTORY_SIZE
-    assert bus.dead_letters() == recent
-    # Attached after the rings overflowed, the counter still sees every event.
     registry = MetricsRegistry()
-    bus.attach_metrics(registry)
-    counter = registry.counter("bus_dead_letters_total", labels=("topic", "reason"))
-    assert counter.labels(topic="orphan.topic", reason="no_subscriber").value == 3 * HISTORY_SIZE
-    bus.publish("orphan.topic", {})
-    assert counter.labels(topic="orphan.topic", reason="no_subscriber").value == 3 * HISTORY_SIZE + 1
+    bus = MessageBus(registry)
+    bus.subscribe("flaky.topic", _crashing_consumer)
+    for index in range(3 * HISTORY_SIZE):
+        bus.publish("flaky.topic", {"index": index})
+    # Each publish dead-letters twice: its one handler raised, so no handler
+    # delivered it.  The ring keeps the newest records, in publish order.
+    recent = bus.dead_letter_records()
+    assert len(recent) == HISTORY_SIZE
+    assert [record.message.body["index"] for record in recent] == [
+        index
+        for index in range(3 * HISTORY_SIZE - HISTORY_SIZE // 2, 3 * HISTORY_SIZE)
+        for _reason in range(2)
+    ]
+    assert [record.reason for record in recent[:2]] == ["handler_error", "all_handlers_failed"]
+    assert _counts(registry) == (
+        {"flaky.topic": 3 * HISTORY_SIZE},
+        {
+            ("flaky.topic", "handler_error"): 3 * HISTORY_SIZE,
+            ("flaky.topic", "all_handlers_failed"): 3 * HISTORY_SIZE,
+        },
+    )
 
 
 def test_handler_error_survives_a_full_ring_of_unsubscribed_traffic():
-    bus = MessageBus()
-
-    def crashing_consumer(message):
-        raise RuntimeError("consumer down")
-
-    bus.subscribe("flaky.topic", crashing_consumer)
+    registry = MetricsRegistry()
+    bus = MessageBus(registry)
+    bus.subscribe("flaky.topic", _crashing_consumer)
     bus.publish("flaky.topic", {"id": "rare"})
     for index in range(HISTORY_SIZE + 10):
         bus.publish("orphan.topic", {"index": index})
 
-    flaky = bus.dead_letter_records("flaky.topic")
-    assert [(record.reason, record.handler) for record in flaky] == [
-        ("handler_error", crashing_consumer.__qualname__),
+    # Unsubscribed traffic is counted, not recorded.
+    records = bus.dead_letter_records()
+    assert [(record.reason, record.handler) for record in records] == [
+        ("handler_error", _crashing_consumer.__qualname__),
         ("all_handlers_failed", None),
     ]
-    assert "consumer down" in flaky[0].error
-    # Merged back into publish order: the rare failure comes first.
-    records = bus.dead_letter_records()
-    assert records[:2] == flaky
-    assert len(records) == 2 + HISTORY_SIZE
-    assert records[-1].message.body == {"index": HISTORY_SIZE + 9}
-    assert bus.dead_letters()[0].body == {"id": "rare"}
+    assert "consumer down" in records[0].error
+    assert records[0].message.body == {"id": "rare"}
+    assert bus.dead_letter_records("flaky.topic") == records
+    assert bus.dead_letter_records("orphan.topic") == []
+    assert _counts(registry) == (
+        {"flaky.topic": 1, "orphan.topic": HISTORY_SIZE + 10},
+        {("flaky.topic", "handler_error"): 1, ("flaky.topic", "all_handlers_failed"): 1},
+    )
 
 
 def test_concurrent_publishers_keep_counts_exact_and_readers_safe():
-    # Callers publish from their own threads while readers walk the
-    # history: no event may be lost from the tally, and no read may fail.
-    bus = MessageBus()
+    # Callers publish from their own threads while a reader walks the
+    # dead-letter records: no event may be lost from either counter, and no
+    # read may fail.
+    registry = MetricsRegistry()
+    bus = MessageBus(registry)
+    bus.subscribe("flaky.0", _crashing_consumer)
     writers, per_writer = 8, 4000
     read_errors = []
     done = threading.Event()
 
     def write(index):
         for _ in range(per_writer):
-            bus.publish(f"orphan.{index % 2}", {})
+            bus.publish(f"flaky.{index % 2}", {})
 
     def read():
         while not done.is_set():
             try:
                 bus.dead_letter_records()
-                bus.published_messages("orphan.0")
-            except RuntimeError as exc:  # a ring or dict mutated mid-walk
+                bus.dead_letter_records("flaky.0")
+            except RuntimeError as exc:  # the ring mutated mid-walk
                 read_errors.append(exc)
 
     previous = sys.getswitchinterval()
@@ -99,14 +126,12 @@ def test_concurrent_publishers_keep_counts_exact_and_readers_safe():
         sys.setswitchinterval(previous)
     assert not any(thread.is_alive() for thread in threads + [reader])
     assert read_errors == []
-    registry = MetricsRegistry()
-    bus.attach_metrics(registry)
-    counter = registry.counter("bus_dead_letters_total", labels=("topic", "reason"))
-    total = sum(
-        counter.labels(topic=f"orphan.{parity}", reason="no_subscriber").value
-        for parity in (0, 1)
+    half = writers // 2 * per_writer
+    assert _counts(registry) == (
+        {"flaky.0": half, "flaky.1": half},
+        {("flaky.0", "handler_error"): half, ("flaky.0", "all_handlers_failed"): half},
     )
-    assert total == writers * per_writer
+    assert len(bus.dead_letter_records()) == HISTORY_SIZE
 
 
 def _soak_request(index):
@@ -126,7 +151,6 @@ def test_soak_bus_state_is_flat_and_requests_are_counted_once():
     clock = {"now": 0.0}
     server = PphcrServer()
     gateway = Gateway(server, GatewayConfig(clock=lambda: clock["now"]))
-    bus = server.bus
 
     def drive(start, stop):
         for index in range(start, stop):
@@ -136,17 +160,12 @@ def test_soak_bus_state_is_flat_and_requests_are_counted_once():
             assert status == (404 if index % 4 == 2 else 201 if index % 4 == 0 else 200)
 
     drive(0, 10_000)
-    halfway = (len(bus.published_messages()), len(bus.dead_letter_records()))
+    assert server.bus.dead_letter_records() == []
     drive(10_000, 20_000)
-    end = (len(bus.published_messages()), len(bus.dead_letter_records()))
+    assert server.bus.dead_letter_records() == []
 
-    assert halfway == end == (HISTORY_SIZE, HISTORY_SIZE)
-    assert bus.published_messages("api.request") == []
     counters = server.telemetry.metrics_snapshot()["counters"]
     requests = counters["api_requests_total"]["series"]
     assert sum(entry["value"] for entry in requests) == 20_000
-    dead = {
-        (entry["labels"]["topic"], entry["labels"]["reason"]): entry["value"]
-        for entry in counters["bus_dead_letters_total"]["series"]
-    }
-    assert dead == {("user.registered", "no_subscriber"): 5_000}
+    # Nothing is published per request: only the 5,000 registrations.
+    assert _counts(server.telemetry.metrics) == ({"user.registered": 5_000}, {})

@@ -179,8 +179,13 @@ def test_scenario_survives_fault(references, scenario, fault, tmp_path, survivor
     elif fault == "shard_move":
         assert fired[0]["lost_events"] > 0, "shard move must lose live writes"
     elif fault == "bus_dead_letter":
-        records = chaos.server.bus.dead_letter_records(DEAD_LETTER_TOPIC)
-        assert any(record.reason == "handler_error" for record in records)
+        # The once-raising handler was the topic's only subscriber: its one
+        # failure is the run's only failed delivery.
+        records = chaos.server.bus.dead_letter_records()
+        assert [(record.topic, record.reason) for record in records] == [
+            (DEAD_LETTER_TOPIC, "handler_error"),
+            (DEAD_LETTER_TOPIC, "all_handlers_failed"),
+        ]
     elif fault == "torn_log":
         entry = fired[0]
         # The crash's half-written frame was salvaged, not fatal …
@@ -196,6 +201,9 @@ def test_scenario_survives_fault(references, scenario, fault, tmp_path, survivor
         assert entry["applied"] > 0, "the replica must have applied shipped frames"
         assert entry["etag_probes"] > 0, "the cutover must have compared reads"
         assert entry["etag_matches"] == entry["etag_probes"]
+    if fault != "bus_dead_letter":
+        # Nothing subscribes outside the injected fault, so nothing fails.
+        assert chaos.server.bus.dead_letter_records() == []
 
     violations = check_invariants(
         chaos.server,

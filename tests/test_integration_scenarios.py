@@ -91,12 +91,13 @@ class TestProactiveCommuteScenario:
         commuter = demo_world.commuters[5]
         user_id = commuter.user_id
         feedback_before = len(demo_world.server.users.feedback.events_for_user(user_id))
+        decision_events = []
+        demo_world.server.bus.subscribe("recommendation.decision", decision_events.append)
         result = run_proactive_commute_scenario(demo_world, user_id=user_id)
         if result.decision.should_recommend:
             assert result.played_clip_ids
         # The decision itself never required explicit feedback during the drive
         # (only playback-completion events may have been added afterwards).
-        decision_events = demo_world.server.bus.published_messages("recommendation.decision")
         assert decision_events
 
 

@@ -4,14 +4,22 @@ import pytest
 
 from repro.asr import SyntheticNewsCorpus
 from repro.content import AudioClip, ContentKind
-from repro.errors import PipelineError
+from repro.errors import PipelineError, PredictionError
+from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import Gateway, MessageBus, PphcrServer, ServerConfig
+from repro.trajectory import DestinationPredictor
 from repro.users import UserProfile
+
+
+def _published(registry, topic):
+    """How many messages the bus counted on ``topic``."""
+    counter = registry.counter("bus_published_total", labels=("topic",))
+    return counter.labels(topic=topic).value
 
 
 class TestMessageBus:
     def test_publish_delivers_to_subscribers(self):
-        bus = MessageBus()
+        bus = MessageBus(MetricsRegistry())
         received = []
         bus.subscribe("topic.a", lambda message: received.append(message.body["x"]))
         bus.publish("topic.a", {"x": 1})
@@ -19,13 +27,15 @@ class TestMessageBus:
         assert received == [1, 2]
         assert bus.delivery_count() == 2
 
-    def test_unrouted_messages_dead_lettered(self):
-        bus = MessageBus()
+    def test_unrouted_messages_are_counted_not_dead_lettered(self):
+        registry = MetricsRegistry()
+        bus = MessageBus(registry)
         bus.publish("nobody.listens", {"x": 1})
-        assert len(bus.dead_letters()) == 1
+        assert _published(registry, "nobody.listens") == 1
+        assert bus.dead_letter_records() == []
 
     def test_failing_handler_does_not_break_others(self):
-        bus = MessageBus()
+        bus = MessageBus(MetricsRegistry())
         received = []
 
         def bad_handler(_message):
@@ -35,25 +45,30 @@ class TestMessageBus:
         bus.subscribe("t", lambda message: received.append(1))
         bus.publish("t", {})
         assert received == [1]
-        assert bus.dead_letters() == []
+        assert [record.reason for record in bus.dead_letter_records()] == ["handler_error"]
 
     def test_all_handlers_fail_dead_letter(self):
-        bus = MessageBus()
+        bus = MessageBus(MetricsRegistry())
         bus.subscribe("t", lambda message: (_ for _ in ()).throw(RuntimeError()))
         bus.publish("t", {})
-        assert len(bus.dead_letters()) == 1
+        assert [record.reason for record in bus.dead_letter_records()] == [
+            "handler_error",
+            "all_handlers_failed",
+        ]
 
     def test_published_filter_and_topics(self):
-        bus = MessageBus()
+        registry = MetricsRegistry()
+        bus = MessageBus(registry)
         bus.subscribe("a", lambda m: None)
         bus.publish("a", {})
         bus.publish("b", {})
-        assert len(bus.published_messages()) == 2
-        assert len(bus.published_messages("a")) == 1
+        bus.publish("b", {})
+        assert _published(registry, "a") == 1
+        assert _published(registry, "b") == 2
         assert bus.topics() == ["a"]
 
     def test_empty_topic_rejected(self):
-        bus = MessageBus()
+        bus = MessageBus(MetricsRegistry())
         with pytest.raises(PipelineError):
             bus.publish("", {})
         with pytest.raises(PipelineError):
@@ -66,6 +81,8 @@ class TestServerIngestion:
         train, _ = corpus.train_test_split(documents_per_category=6)
         server = PphcrServer()
         server.train_classifier([d.text for d in train], [d.category for d in train])
+        classified_messages = []
+        server.bus.subscribe("clip.classified", classified_messages.append)
         speech_text = corpus.generate_document("economics", word_count=150).text
         clip = AudioClip(
             clip_id="speech-1",
@@ -77,7 +94,6 @@ class TestServerIngestion:
         assert stored.transcript is not None
         assert stored.category_scores
         assert stored.primary_category == "economics"
-        classified_messages = server.bus.published_messages("clip.classified")
         assert len(classified_messages) == 1
         assert classified_messages[0].body["predicted"] == "economics"
 
@@ -102,19 +118,22 @@ class TestServerIngestion:
 
     def test_register_user_and_bus_events(self):
         server = PphcrServer()
+        registered = []
+        server.bus.subscribe("user.registered", registered.append)
         server.register_user(UserProfile(user_id="u1", display_name="User"))
         assert server.users.user_count() == 1
-        assert server.bus.published_messages("user.registered")
+        assert [message.body for message in registered] == [{"user_id": "u1"}]
 
 
 class TestServerMobilityAndRecommendation:
     def test_rebuild_mobility_model(self, small_world):
         server = small_world.server
         user_id = small_world.commuters[0].user_id
+        before = _published(server.telemetry.metrics, "tracking.model_rebuilt")
         model = server.refresh_mobility_model(user_id)
         assert model.trip_count >= 2
         assert model.stay_points
-        assert server.bus.published_messages("tracking.model_rebuilt")
+        assert _published(server.telemetry.metrics, "tracking.model_rebuilt") == before + 1
 
     def test_rebuild_requires_tracking_data(self):
         server = PphcrServer()
@@ -149,12 +168,44 @@ class TestServerMobilityAndRecommendation:
         drive = small_world.commuter_generator.live_drive(commuter, day=small_world.today)
         observe = drive.departure_s + 240.0
         server.users.ingest_fixes(drive.fixes(until_s=observe), skip_stale=True)
+        before = _published(server.telemetry.metrics, "recommendation.decision")
         decision = server.recommend(commuter.user_id, now_s=observe, drive_elapsed_s=240.0)
-        assert server.bus.published_messages("recommendation.decision")
+        assert _published(server.telemetry.metrics, "recommendation.decision") == before + 1
         if decision.should_recommend:
             plan = decision.plan
             assert plan.total_scheduled_s <= plan.available_s + 1e-6
             assert all(item.scored.clip.duration_s <= plan.available_s for item in plan.items)
+
+    def test_failed_destination_prediction_is_counted_and_bugs_propagate(
+        self, small_world, monkeypatch
+    ):
+        server = small_world.server
+        commuter = small_world.commuters[1]
+        drive = small_world.commuter_generator.live_drive(commuter, day=small_world.today)
+        observe = drive.departure_s + 240.0
+        server.users.ingest_fixes(drive.fixes(until_s=observe), skip_stale=True)
+        degraded = server.telemetry.metrics.counter(
+            "recommend_degraded_total", labels=("reason",)
+        ).labels(reason="no_destination")
+        before = degraded.value
+
+        def unpredictable(predictor, partial_drive):
+            raise PredictionError("no destination candidate received positive score")
+
+        monkeypatch.setattr(DestinationPredictor, "most_likely", unpredictable)
+        context = server.build_context(commuter.user_id, now_s=observe)
+        assert context.is_driving
+        assert context.destination is None
+        assert degraded.value == before + 1
+
+        # Only the prediction taxonomy degrades the tick; a bug surfaces.
+        def broken(predictor, partial_drive):
+            raise RuntimeError("not a prediction failure")
+
+        monkeypatch.setattr(DestinationPredictor, "most_likely", broken)
+        with pytest.raises(RuntimeError):
+            server.build_context(commuter.user_id, now_s=observe)
+        assert degraded.value == before + 1
 
     def test_recommend_for_parked_user_refuses(self, small_world):
         server = small_world.server

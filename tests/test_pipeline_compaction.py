@@ -28,6 +28,8 @@ class TestTrackingCompaction:
     def test_compaction_prunes_old_fixes_and_keeps_models(self, compaction_world):
         server = compaction_world.server
         before = server.users.tracking.fix_count()
+        compacted = []
+        server.bus.subscribe("tracking.compacted", compacted.append)
         # Keep only the last two days of raw data: everything older goes away.
         removed = server.compact_tracking_data(keep_window_s=2 * 86400.0)
         after = server.users.tracking.fix_count()
@@ -37,7 +39,7 @@ class TestTrackingCompaction:
         for commuter in compaction_world.commuters:
             model = server.mobility_model(commuter.user_id)
             assert model.stay_points
-        assert server.bus.published_messages("tracking.compacted")
+        assert [message.body["fixes_removed"] for message in compacted] == [sum(removed.values())]
 
     def test_compaction_with_generous_window_removes_nothing(self, compaction_world):
         server = compaction_world.server

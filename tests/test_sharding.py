@@ -419,7 +419,7 @@ def test_tracking_batch_atomic_when_worker_faults_mid_group(seeded_rng, monkeypa
     writes, so a tracking-store read raising for the batch's last user —
     after every other user validated — surfaces as a 500 with no partial
     multi-user ingest observable anywhere, plus a ``tracking.batch_failed``
-    dead-letter record and a request trace tagged with the 500.
+    message and a request trace tagged with the 500.
     """
     server, gateway = _server(4)
     twin, twin_gateway = _server(4)
@@ -452,6 +452,8 @@ def test_tracking_batch_atomic_when_worker_faults_mid_group(seeded_rng, monkeypa
         return latest_fix(user_id)
 
     monkeypatch.setattr(tracking, "latest_fix", faulty_latest_fix)
+    failures = []
+    server.bus.subscribe("tracking.batch_failed", failures.append)
     response = gateway.request("POST", "/v1/tracking/batch", body={"fixes": mixed})
     assert response.status == 500
     assert fired == [faulty_user]  # the fault actually ran
@@ -463,13 +465,11 @@ def test_tracking_batch_atomic_when_worker_faults_mid_group(seeded_rng, monkeypa
         assert server.streaming.model_freshness(user_id) == (0, 0)
         assert server.streaming.observed_fix_count(user_id) == 0
 
-    # The aborted batch is dead-lettered (no subscriber on the failure
-    # topic) with the owning users recorded.
-    records = server.bus.dead_letter_records("tracking.batch_failed")
-    assert len(records) == 1
-    assert records[0].reason == "no_subscriber"
-    assert records[0].message.body["users"] == users
-    assert records[0].message.body["submitted"] == len(mixed)
+    # The aborted batch is published on the failure topic with the owning
+    # users recorded.
+    assert len(failures) == 1
+    assert failures[0].body["users"] == users
+    assert failures[0].body["submitted"] == len(mixed)
 
     # The request trace carries the 500.
     recent = server.telemetry.traces_snapshot()["recent"]

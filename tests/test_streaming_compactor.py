@@ -145,25 +145,28 @@ class TestServerCompactionWiring:
 
     def test_unchanged_users_reported_on_bus(self):
         server = self._server_with_users()
+        compacted = []
+        server.bus.subscribe("tracking.compacted", compacted.append)
         server.compact_tracking_data(keep_window_s=2 * 86400.0)
-        first = server.bus.published_messages("tracking.compacted")[-1].body
+        first = compacted[-1].body
         assert first["users"] == 3
         assert first["unchanged_users"] == 0
         # Nothing new arrived: the next pass skips everyone.
         server.compact_tracking_data(keep_window_s=2 * 86400.0)
-        second = server.bus.published_messages("tracking.compacted")[-1].body
+        second = compacted[-1].body
         assert second["users"] == 0
         assert second["unchanged_users"] == 3
         assert second["fixes_removed"] == 0
 
     def test_compaction_refreshes_models_from_the_stream(self):
         server = self._server_with_users(count=2)
+        rebuilt = []
+        server.bus.subscribe("tracking.model_rebuilt", rebuilt.append)
         removed = server.compact_tracking_data(keep_window_s=86400.0)
         assert sum(removed.values()) > 0
         for index in range(2):
             model = server.mobility_model(f"commuter-{index}")
             assert model.stay_points
-        rebuilt = server.bus.published_messages("tracking.model_rebuilt")
         assert sorted(m.body["user_id"] for m in rebuilt) == ["commuter-0", "commuter-1"]
 
     def test_sharded_passes_cover_all_users(self):

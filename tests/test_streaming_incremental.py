@@ -8,6 +8,7 @@ from repro.datasets import build_world
 from repro.geo import GeoPoint
 from repro.geo.geodesy import destination_point
 from repro.pipeline import PphcrServer
+from repro.pipeline.server import MIN_TRIPS_FOR_MODEL
 from repro.spatialdb import GpsFix
 from repro.streaming import (
     IncrementalConfig,
@@ -233,18 +234,29 @@ class TestIncrementalMechanics:
         assert not model.needs_repair("u")
 
     def test_engine_publishes_tracking_events(self):
+        from repro.obs.metrics import MetricsRegistry
         from repro.pipeline.messaging import MessageBus
 
-        bus = MessageBus()
+        bus = MessageBus(MetricsRegistry())
+        received = {
+            topic: []
+            for topic in (
+                "tracking.trip_completed",
+                "tracking.staypoint_spawned",
+                "tracking.model_repaired",
+            )
+        }
+        for topic, messages in received.items():
+            bus.subscribe(topic, messages.append)
         engine = StreamingMobilityEngine(bus=bus)
         user_id = "commuter-e"
         for fix in commute_history(user_id, days=3, seed=11):
             engine.observe_fix(fix)
         engine.close_user(user_id)
-        assert bus.published_messages("tracking.trip_completed")
-        assert bus.published_messages("tracking.staypoint_spawned")
+        assert received["tracking.trip_completed"]
+        assert received["tracking.staypoint_spawned"]
         engine.repair_user(user_id)
-        repaired = bus.published_messages("tracking.model_repaired")
+        repaired = received["tracking.model_repaired"]
         assert repaired and repaired[-1].body["user_id"] == user_id
 
     def test_trip_retention_stays_bounded(self):
@@ -296,15 +308,17 @@ class TestIncrementalMechanics:
 class TestServerStreamingIntegration:
     def test_mobility_model_served_from_stream_without_batch_rebuild(self):
         server = PphcrServer()
+        rebuilt = []
+        server.bus.subscribe("tracking.model_rebuilt", rebuilt.append)
         user_id = "commuter-live"
         server.register_user(UserProfile(user_id=user_id, display_name="C"))
         server.users.ingest_fixes(commute_history(user_id, days=5, seed=21))
         # No refresh_mobility_model call: the model is served from the stream.
         model = server.mobility_model(user_id)
-        assert model.trip_count >= server.config.min_trips_for_model
+        assert model.trip_count >= MIN_TRIPS_FOR_MODEL
         assert model.stay_points
         assert model.clusters
-        assert not server.bus.published_messages("tracking.model_rebuilt")
+        assert rebuilt == []
 
     def test_refresh_equals_batch_oracle_for_every_small_world_commuter(
         self, small_world

@@ -9,8 +9,8 @@ The contracts under test:
   ``GET /v1/ops/metrics`` matching an exact offline computation within
   the documented bucket error, and slow table operations surface in
   ``GET /v1/ops/traces`` with their shard and ``explain()`` plan;
-* the message bus records dead letters per event (topic, handler, reason)
-  and surfaces them as a registry counter;
+* the message bus counts every publish, and records each failed delivery
+  as a dead letter (topic, handler, reason) counted in the registry;
 * a full compaction pass and one pass per shard agree on everything
   except the per-shard wall-time breakdown;
 * telemetry is excluded from server snapshots by design, and a disabled
@@ -369,10 +369,9 @@ def test_storage_and_worker_collectors_populate_gauges():
 
 
 def test_dead_letter_records_and_counter():
-    bus = MessageBus()
     registry = MetricsRegistry()
-    bus.publish("orphan.topic", {})  # before attach: replayed on attach
-    bus.attach_metrics(registry)
+    bus = MessageBus(registry)
+    bus.publish("orphan.topic", {})  # no subscriber: counted, not dead-lettered
 
     def bad_handler(message):
         raise RuntimeError("boom")
@@ -386,28 +385,28 @@ def test_dead_letter_records_and_counter():
     bus.publish("mixed.topic", {})
     bus.publish("failing.topic", {})
 
-    # Legacy message-level dead letters: only undelivered messages.
-    assert [message.topic for message in bus.dead_letters()] == [
-        "orphan.topic", "failing.topic",
-    ]
     records = bus.dead_letter_records()
     assert [(r.topic, r.reason) for r in records] == [
-        ("orphan.topic", "no_subscriber"),
         ("mixed.topic", "handler_error"),
         ("failing.topic", "handler_error"),
         ("failing.topic", "all_handlers_failed"),
     ]
-    assert records[1].handler and "bad_handler" in records[1].handler
-    assert "boom" in records[1].error
-    assert records[0].handler is None
+    assert records[0].handler and "bad_handler" in records[0].handler
+    assert "boom" in records[0].error
+    assert records[2].handler is None
     assert bus.dead_letter_records(topic="mixed.topic")[0].reason == "handler_error"
 
     counter = registry.counter(
         "bus_dead_letters_total", labels=("topic", "reason")
     )
-    assert counter.labels(topic="orphan.topic", reason="no_subscriber").value == 1.0
+    assert counter.labels(topic="mixed.topic", reason="handler_error").value == 1.0
     assert counter.labels(topic="failing.topic", reason="handler_error").value == 1.0
     assert counter.labels(topic="failing.topic", reason="all_handlers_failed").value == 1.0
+    published = registry.counter("bus_published_total", labels=("topic",))
+    assert [
+        published.labels(topic=topic).value
+        for topic in ("orphan.topic", "mixed.topic", "failing.topic")
+    ] == [1.0, 1.0, 1.0]
 
 
 def test_server_bus_dead_letters_flow_into_registry():
