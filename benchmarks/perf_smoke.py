@@ -31,7 +31,12 @@ the performance trajectory is tracked from PR to PR:
 * ``BENCH_wal_durability.json`` — write-ahead-log cost (PR 9's durable
   serving drive vs. the identical no-WAL drive, asserted under the 10%
   budget) and recovery time (snapshot + WAL tail vs. full client
-  re-ingest of the whole stream).
+  re-ingest of the whole stream);
+* ``BENCH_recommend_tick.json`` — the recommend tick's two scorers
+  (content and context ``score_many`` over one driving listener's 200
+  candidates): µs per warm tick, µs per tick right after a new like, and
+  cosine evaluations per tick of each kind (parity with the per-clip
+  ``score`` gated, times a trend).
 
 Run:  PYTHONPATH=src python benchmarks/perf_smoke.py
 """
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 import time
 
@@ -124,11 +130,31 @@ from bench_streaming_ingest import (  # noqa: E402
     run_streaming_replay,
 )
 
+from repro.datasets import (  # noqa: E402
+    BroadcasterConfig,
+    CommuterConfig,
+    WorldConfig,
+    build_world,
+)
+from repro.recommender import content_based  # noqa: E402
+from repro.recommender.content_based import (  # noqa: E402
+    CandidateFilter,
+    ContentBasedScorer,
+)
+from repro.recommender.context_relevance import ContextScorer  # noqa: E402
+from repro.roadnet import CityGeneratorConfig  # noqa: E402
+from repro.users import FeedbackKind  # noqa: E402
+
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 #: Reference path is ~an order of magnitude slower; time a subset and scale.
 REFERENCE_SUBSET = 500
 FAST_ROUNDS = 3
+
+#: Clips the recommend-tick world publishes; enough for a full candidate set.
+TICK_CLIPS = 600
+#: Timed ticks of each kind (warm, and right after a new like).
+TICK_ROUNDS = 40
 
 
 def _write(name: str, payload: dict) -> str:
@@ -551,6 +577,117 @@ def smoke_world_replay() -> str:
     return path
 
 
+def _tick_world():
+    """One driving listener mid-commute, with a full candidate set."""
+    world = build_world(
+        WorldConfig(
+            seed=20170321,
+            city=CityGeneratorConfig(grid_rows=10, grid_cols=10, poi_count=16, seed=5),
+            broadcaster=BroadcasterConfig(seed=6, clips_per_day=TICK_CLIPS),
+            commuters=CommuterConfig(seed=7, commuters=4, history_days=6),
+            classifier_documents_per_category=8,
+            feedback_events_per_user=24,
+        )
+    )
+    server = world.server
+    commuter = world.commuters[0]
+    drive = world.commuter_generator.live_drive(commuter, day=world.today)
+    now_s = drive.departure_s + 240.0
+    server.users.ingest_fixes(drive.fixes(until_s=now_s), skip_stale=True)
+    context = server.build_context(commuter.user_id, now_s=now_s)
+    assert context.is_driving and context.route is not None
+    candidates = CandidateFilter(server.content, server.users).candidates(
+        commuter.user_id, now_s=now_s
+    )
+    return server, context, candidates
+
+
+def smoke_recommend_tick() -> str:
+    server, context, candidates = _tick_world()
+    user_id, now_s = context.user_id, context.now_s
+    content_scorer = ContentBasedScorer(server.content, server.users)
+    content_scorer.fit_text_model()
+    # Built like the server's: geo pruning through the catalogue's grid index.
+    context_scorer = ContextScorer(geo_index=server.content.geo_index)
+    candidate_ids = {clip.clip_id for clip in candidates}
+    # Fitted clips outside the candidate set, liked one per after-like tick.
+    fresh_likes = iter(
+        clip.clip_id
+        for clip in server.content.clips()
+        if clip.transcript and clip.clip_id not in candidate_ids
+    )
+
+    def tick() -> None:
+        content_scorer.score_many(user_id, candidates, now_s=now_s)
+        context_scorer.score_many(candidates, context)
+
+    def like(round_index: int) -> None:
+        server.users.record_feedback(
+            user_id, next(fresh_likes), FeedbackKind.LIKE, timestamp_s=now_s - 600.0 + round_index
+        )
+
+    def cosines_in(run) -> int:
+        calls = []
+        real = content_based.cosine_similarity_normed
+        content_based.cosine_similarity_normed = lambda *args: calls.append(1) or real(*args)
+        try:
+            run()
+        finally:
+            content_based.cosine_similarity_normed = real
+        return len(calls)
+
+    # Parity gate: both fast paths equal their per-clip reference, bit for bit.
+    first = {}
+    cold_cosines = cosines_in(
+        lambda: first.update(content_scorer.score_many(user_id, candidates, now_s=now_s))
+    )
+    assert first == {
+        clip.clip_id: content_scorer.score(user_id, clip, now_s=now_s) for clip in candidates
+    }
+    assert context_scorer.score_many(candidates, context) == {
+        clip.clip_id: context_scorer.score(clip, context) for clip in candidates
+    }
+
+    warm_cosines = cosines_in(tick)
+    like(0)
+    like_cosines = cosines_in(tick)
+    warm_s, like_s = [], []
+    for round_index in range(1, TICK_ROUNDS + 1):
+        start = time.perf_counter()
+        tick()
+        warm_s.append(time.perf_counter() - start)
+        like(round_index)
+        start = time.perf_counter()
+        tick()
+        like_s.append(time.perf_counter() - start)
+
+    results = {
+        "warm_tick_us": round(statistics.median(warm_s) * 1e6, 1),
+        "after_like_tick_us": round(statistics.median(like_s) * 1e6, 1),
+        "cosines_per_first_tick": cold_cosines,
+        "cosines_per_warm_tick": warm_cosines,
+        "cosines_per_after_like_tick": like_cosines,
+    }
+    payload = {
+        "bench": "recommend_tick",
+        "unix_time_s": round(time.time(), 3),
+        "workload": {
+            "candidates": len(candidates),
+            "liked_window": len(content_scorer._text_model.memo[user_id][0]),
+            "rounds": TICK_ROUNDS,
+        },
+        "results": results,
+    }
+    path = _write("BENCH_recommend_tick.json", payload)
+    print(
+        f"recommend-tick smoke: {len(candidates)} candidates, "
+        f"{results['warm_tick_us']:.0f} us warm, "
+        f"{results['after_like_tick_us']:.0f} us after a new like "
+        f"({warm_cosines} / {like_cosines} cosines; {cold_cosines} on the first tick)"
+    )
+    return path
+
+
 def main() -> int:
     for path in (
         smoke_geo_scoring(),
@@ -562,6 +699,7 @@ def main() -> int:
         smoke_telemetry_overhead(),
         smoke_wal_durability(),
         smoke_world_replay(),
+        smoke_recommend_tick(),
     ):
         print(f"wrote {path}")
     return 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.content.categories import category_by_name
 from repro.errors import ValidationError
@@ -107,17 +107,30 @@ class AudioClip:
             return None
         return max(self.category_scores.items(), key=lambda pair: pair[1])[0]
 
+    @cached_property
+    def category_shares(self) -> Tuple[Tuple[str, float], ...]:
+        """``(name, score / total)`` per category, in ``category_scores`` order.
+
+        Empty when untagged or when the scores sum to 0.  Cached per clip,
+        like :attr:`primary_category`, so the scorers divide once per clip
+        rather than once per tick.
+        """
+        total = sum(self.category_scores.values())
+        if total <= 0:
+            return ()
+        return tuple((name, score / total) for name, score in self.category_scores.items())
+
     @property
     def is_geo_tagged(self) -> bool:
         """Whether the clip has a geographic relevance footprint."""
         return self.geo_location is not None
 
     def normalized_scores(self) -> Dict[str, float]:
-        """Category scores normalized to sum to 1 (empty dict if untagged)."""
-        total = sum(self.category_scores.values())
-        if total <= 0:
-            return {}
-        return {name: score / total for name, score in self.category_scores.items()}
+        """Category scores normalized to sum to 1 (empty dict if untagged).
+
+        A fresh dict on every call, built from :attr:`category_shares`.
+        """
+        return dict(self.category_shares)
 
     def estimated_size_bytes(self, bitrate_kbps: int = 96) -> int:
         """Size estimate from duration and bitrate when ``size_bytes`` is unset."""

@@ -40,7 +40,7 @@ from repro.recommender.scheduling import Scheduler
 from repro.roadnet.generator import City
 from repro.roadnet.intersections import distraction_zones_along, route_complexity
 from repro.roadnet.routing import RoutePlanner
-from repro.spatialdb import SpatialQueryEngine
+from repro.spatialdb import GpsFix, SpatialQueryEngine
 from repro.storage.sharding import ShardingConfig
 from repro.storage.wal import DurabilityConfig, DurabilityManager
 from repro.streaming.compactor import CompactionConfig, ShardedCompactor
@@ -700,6 +700,8 @@ class PphcrServer:
         Uses the trailing ``drive_window_s`` of GPS fixes as the partial
         drive, predicts destination and remaining travel time, plans the
         residual route on the road network and derives its distraction zones.
+        Every context built, driving or not, is published on
+        ``context.built``.
         """
         self._users.profile(user_id)
         tracking = self._users.tracking
@@ -708,8 +710,29 @@ class PphcrServer:
         except NotFoundError:
             fixes = []
         if len(fixes) < 2:
-            return ListenerContext(user_id=user_id, now_s=now_s, is_driving=False)
+            context = ListenerContext(user_id=user_id, now_s=now_s, is_driving=False)
+        else:
+            context = self._context_from_fixes(user_id, fixes, now_s)
+        self._bus.publish(
+            "context.built",
+            {
+                "user_id": user_id,
+                "is_driving": context.is_driving,
+                "destination_confidence": context.destination_confidence,
+                "available_s": context.available_time_s or 0.0,
+            },
+        )
+        return context
 
+    def _context_from_fixes(
+        self, user_id: str, fixes: List[GpsFix], now_s: float
+    ) -> ListenerContext:
+        """:meth:`build_context` for a window holding at least two fixes.
+
+        A driving tick plans its residual route once: the ΔT estimate, the
+        route geometry and the distraction zones all read that one route.
+        """
+        tracking = self._users.tracking
         partial = Trajectory.from_fixes(user_id, fixes)
         engine = SpatialQueryEngine(tracking)
         speed = engine.current_speed_mps(user_id)
@@ -747,6 +770,14 @@ class PphcrServer:
                 fraction = None
                 if cluster is not None and cluster.median_length_m > 0:
                     fraction = min(1.0, partial.length_m / cluster.median_length_m)
+                route = None
+                if self._planner is not None:
+                    try:
+                        route = self._planner.route_between_points(
+                            position, destination_prediction.center
+                        )
+                    except NotFoundError:  # ΔT from history alone, no zones
+                        pass
                 try:
                     travel_time = self._travel_time.estimate(
                         position,
@@ -754,24 +785,18 @@ class PphcrServer:
                         now_s=now_s,
                         cluster=cluster,
                         fraction_completed=fraction,
+                        route=route,
                     )
                 except PredictionError:
                     self._degraded("no_travel_time")
-                if self._planner is not None:
-                    try:
-                        route = self._planner.route_between_points(
-                            position, destination_prediction.center
-                        )
-                        route_geometry = route.geometry
-                        zones = distraction_zones_along(
-                            self._city.network, route, departure_s=now_s
-                        )
-                        complexity = route_complexity(self._city.network, route)
-                    except NotFoundError:
-                        route_geometry = None
-                        self._degraded("no_route")
+                if route is not None:
+                    route_geometry = route.geometry
+                    zones = distraction_zones_along(self._city.network, route, departure_s=now_s)
+                    complexity = route_complexity(self._city.network, route)
+                elif self._planner is not None:
+                    self._degraded("no_route")
 
-        context = ListenerContext(
+        return ListenerContext(
             user_id=user_id,
             now_s=now_s,
             position=position,
@@ -783,16 +808,6 @@ class PphcrServer:
             distraction_zones=zones,
             route_complexity=complexity,
         )
-        self._bus.publish(
-            "context.built",
-            {
-                "user_id": user_id,
-                "is_driving": is_driving,
-                "destination_confidence": context.destination_confidence,
-                "available_s": context.available_time_s or 0.0,
-            },
-        )
-        return context
 
     def _degraded(self, reason: str) -> None:
         """Count one recommend-tick fallback in ``recommend_degraded_total``."""

@@ -80,10 +80,10 @@ class CandidateFilter:
         candidate cap is reached: the cost follows the candidates kept,
         not the catalogue or the recency window.  Heard content (positive
         or negative feedback alike) comes from one walk of the user's
-        feedback history.
+        feedback index rows.
         """
         config = self._config
-        heard = {event.content_id for event in self._users.feedback.events_for_user(user_id)}
+        heard = set(self._users.feedback.content_ids_for_user(user_id))
         disliked = set(self._users.preference_profile(user_id).disliked_categories())
         cutoff = now_s - config.max_age_s if config.max_age_s is not None else None
 
@@ -104,9 +104,14 @@ class CandidateFilter:
 #: How many of the listener's most recent liked clips similarity compares to.
 _LIKED_WINDOW = 20
 
-#: One user's memo entry: the liked ids it was computed against and, per
-#: clip id, the clip object scored and its best similarity to those likes.
-_MemoEntry = Tuple[Tuple[str, ...], Dict[str, Tuple[AudioClip, float]]]
+#: One clip's memo row: the clip object scored, its cosine to each liked id
+#: (aligned with the entry's liked-id tuple) and the best of them.
+_MemoRow = Tuple[AudioClip, Tuple[float, ...], float]
+
+#: One user's memo entry: the liked ids it was computed against and a row
+#: per clip id.  Built fresh on every batch and published with one
+#: assignment; a published entry is never mutated.
+_MemoEntry = Tuple[Tuple[str, ...], Dict[str, _MemoRow]]
 
 
 class _TextModel:
@@ -192,7 +197,7 @@ class ContentBasedScorer:
         model = self._text_model
         liked_vectors = self._liked_vectors(model, user_id)
         similarity = self._similarity_to_liked(model, clip, liked_vectors)
-        return self._combine(profile, similarity, clip, now_s)
+        return self._combine(profile, [clip], [similarity], now_s)[clip.clip_id]
 
     def score_many(
         self, user_id: str, clips: Sequence[AudioClip], *, now_s: float
@@ -200,31 +205,37 @@ class ContentBasedScorer:
         """Scores for a batch of clips keyed by clip id.
 
         The preference profile and the liked-clip TF-IDF vectors are fetched
-        once for the whole batch.  Each fitted clip's best similarity to
-        the liked set uses norms computed at fit time and is memoized per
-        user: the next batch scored against the same liked ids reuses it
-        for every clip object it scored last time (a replaced clip is a new
-        object, so it misses).  The memo is rebuilt from every batch, so it
-        holds at most one batch per user.  Scores are bit-identical to
-        :meth:`score`.
+        once for the whole batch.  Each fitted clip's cosine to each liked
+        clip uses norms computed at fit time and is memoized per user:
+        the next batch reuses it for every clip object it scored last time
+        (a replaced clip is a new object, so it misses) and every liked id
+        still in the window, so a new like costs one cosine per clip.  The
+        memo is rebuilt from every batch, so it holds at most one batch per
+        user and at most ``_LIKED_WINDOW`` cosines per clip.  Scores are
+        bit-identical to :meth:`score`.
         """
         profile = self._users.preference_profile(user_id)
-        similarities = self._similarities(user_id, clips)
-        return {
-            clip.clip_id: self._combine(profile, similarity, clip, now_s)
-            for clip, similarity in zip(clips, similarities)
-        }
+        return self._combine(profile, clips, self._similarities(user_id, clips), now_s)
 
     # Internal ----------------------------------------------------------------
 
-    def _combine(self, profile, similarity_term: float, clip: AudioClip, now_s: float) -> float:
-        profile_term = profile.affinity(clip.category_scores)
-        recency_term = self._recency(clip, now_s)
-        return (
-            self._profile_weight * profile_term
-            + self._similarity_weight * similarity_term
-            + self._recency_weight * recency_term
-        )
+    def _combine(
+        self, profile, clips: Sequence[AudioClip], similarities: Sequence[float], now_s: float
+    ) -> Dict[str, float]:
+        """The weighted sum per clip; weights and half-life are read once."""
+        profile_weight = self._profile_weight
+        similarity_weight = self._similarity_weight
+        recency_weight = self._recency_weight
+        halflife_s = self._recency_halflife_s
+        affinity = profile.share_affinity
+        return {
+            clip.clip_id: (
+                profile_weight * affinity(clip.category_shares)
+                + similarity_weight * similarity
+                + recency_weight * _recency(clip.published_s, now_s, halflife_s)
+            )
+            for clip, similarity in zip(clips, similarities)
+        }
 
     def _liked_ids(self, model: _TextModel, user_id: str) -> Tuple[str, ...]:
         liked_ids = self._users.feedback.positive_content_ids(user_id)
@@ -238,29 +249,46 @@ class ContentBasedScorer:
         return [model.vectors[content_id] for content_id in self._liked_ids(model, user_id)]
 
     def _similarities(self, user_id: str, clips: Sequence[AudioClip]) -> List[float]:
-        """Best similarity to the user's liked set, per clip, in ``clips`` order."""
+        """Best similarity to the user's liked set, per clip, in ``clips`` order.
+
+        A memoized row whose liked ids moved is carried over: each cosine
+        to a like still in the window is reused and only the new likes are
+        computed.  The best is ``max`` over the same values in the same
+        order, so it has the same bits as :meth:`_similarity_to_liked`.
+        """
         model = self._text_model
         if model is None:
             return [0.5] * len(clips)
+        vectors, norms = model.vectors, model.norms
         liked_ids = self._liked_ids(model, user_id)
-        liked = [(model.vectors[content_id], model.norms[content_id]) for content_id in liked_ids]
+        liked = [(vectors[content_id], norms[content_id]) for content_id in liked_ids]
         liked_vectors = [vector for vector, _norm in liked]
-        memo = model.memo.get(user_id)
-        previous = memo[1] if memo is not None and memo[0] == liked_ids else {}
-        entries: Dict[str, Tuple[AudioClip, float]] = {}
+        previous_ids, previous = model.memo.get(user_id, ((), {}))
+        fresh = [None] * len(liked_ids)
+        carry = None
+        if previous_ids != liked_ids:
+            # Per liked id, its position in the old tuple (None: a new like).
+            position = {content_id: index for index, content_id in enumerate(previous_ids)}
+            carry = [position.get(content_id) for content_id in liked_ids]
+        entries: Dict[str, _MemoRow] = {}
         similarities: List[float] = []
         for clip in clips:
             clip_id = clip.clip_id
-            vector = model.vectors.get(clip_id)
+            vector = vectors.get(clip_id)
             if vector is None:
                 # Not in the fit: the reference path vectorizes its transcript.
                 similarities.append(self._similarity_to_liked(model, clip, liked_vectors))
                 continue
-            entry = previous.get(clip_id)
-            if entry is None or entry[0] is not clip:
-                entry = (clip, _best_similarity(vector, model.norms[clip_id], liked))
-            entries[clip_id] = entry
-            similarities.append(entry[1])
+            if not vector:
+                similarities.append(0.5)
+                continue
+            row = previous.get(clip_id)
+            if row is None or row[0] is not clip:
+                row = _memo_row(clip, vector, norms[clip_id], liked, fresh, ())
+            elif carry is not None:
+                row = _memo_row(clip, vector, norms[clip_id], liked, carry, row[1])
+            entries[clip_id] = row
+            similarities.append(row[2])
         model.memo[user_id] = (liked_ids, entries)
         return similarities
 
@@ -280,22 +308,34 @@ class ContentBasedScorer:
         best = max(cosine_similarity(clip_vector, other) for other in liked_vectors)
         return best
 
-    def _recency(self, clip: AudioClip, now_s: float) -> float:
-        age_s = max(0.0, now_s - clip.published_s)
-        if self._recency_halflife_s <= 0:
-            return 1.0
-        return 0.5 ** (age_s / self._recency_halflife_s)
 
+def _memo_row(
+    clip: AudioClip,
+    vector: SparseVector,
+    norm: float,
+    liked: List[Tuple[SparseVector, float]],
+    carry: List[Optional[int]],
+    kept: Tuple[float, ...],
+) -> _MemoRow:
+    """A clip's memo row: its cosine to each like and the best of them.
 
-def _best_similarity(
-    vector: SparseVector, norm: float, liked: List[Tuple[SparseVector, float]]
-) -> float:
-    """:meth:`ContentBasedScorer._similarity_to_liked` for a fitted vector.
-
-    The same comparisons with every norm precomputed, so the same bits.
+    ``carry`` gives, per like, the index of its cosine in ``kept`` (the
+    row's previous values) or ``None`` for a like to compute.  Computed
+    cosines are :func:`cosine_similarity` with the norms precomputed, so
+    the same bits.
     """
-    if not vector or not liked:
-        return 0.5
-    return max(
-        cosine_similarity_normed(vector, norm, other, other_norm) for other, other_norm in liked
+    cosines = tuple(
+        kept[index]
+        if index is not None
+        else cosine_similarity_normed(vector, norm, other, other_norm)
+        for index, (other, other_norm) in zip(carry, liked)
     )
+    return (clip, cosines, max(cosines) if cosines else 0.5)
+
+
+def _recency(published_s: float, now_s: float, halflife_s: float) -> float:
+    """The recency prior: 0.5 per ``halflife_s`` of age (1 without a half-life)."""
+    age_s = max(0.0, now_s - published_s)
+    if halflife_s <= 0:
+        return 1.0
+    return 0.5 ** (age_s / halflife_s)

@@ -99,14 +99,8 @@ class ContextScorer:
 
     def score(self, clip: AudioClip, context: ListenerContext) -> float:
         """Overall context relevance."""
-        weights = self._weights
-        value = (
-            weights.geographic * self.geographic_score(clip, context)
-            + weights.time_of_day * self.time_of_day_score(clip, context)
-            + weights.duration_fit * self.duration_fit_score(clip, context)
-            + weights.driving_fit * self.driving_fit_score(clip, context)
-        )
-        return value / self._norm
+        geo_scores = {clip.clip_id: self.geographic_score(clip, context)}
+        return self._weighted([clip], context, geo_scores)[clip.clip_id]
 
     def score_many(
         self,
@@ -119,20 +113,37 @@ class ContextScorer:
 
         The geographic term runs through the batched fast path: the route is
         sampled once and far-away geo-tagged clips are pruned through the
-        grid index when one was provided at construction.
+        grid index when one was provided at construction.  The context's
+        time-of-day table, ΔT and driving condition are read once per batch.
         """
         scorer = route_scorer if route_scorer is not None else self.route_scorer_for(context)
-        geo_scores = scorer.score_many(clips, geo_index=self._geo_index)
+        return self._weighted(clips, context, scorer.score_many(clips, geo_index=self._geo_index))
+
+    def _weighted(
+        self, clips: Sequence[AudioClip], context: ListenerContext, geo_scores: Dict[str, float]
+    ) -> Dict[str, float]:
+        """The weighted sum of the four sub-scores per clip, keyed by clip id.
+
+        The context's terms are read once, and the driving fit is one
+        value per content kind for the whole batch.
+        """
         weights = self._weights
+        geographic, time_of_day = weights.geographic, weights.time_of_day
+        duration_fit, driving_fit = weights.duration_fit, weights.driving_fit
+        norm = self._norm
+        affinities = _TIME_OF_DAY_AFFINITY.get(context.time_of_day, {})
+        available_s = context.available_time_s
+        condition = context.driving_condition
+        driving_fits = {kind: _driving_fit(kind, condition) for kind in ContentKind}
         scores: Dict[str, float] = {}
         for clip in clips:
             value = (
-                weights.geographic * geo_scores[clip.clip_id]
-                + weights.time_of_day * self.time_of_day_score(clip, context)
-                + weights.duration_fit * self.duration_fit_score(clip, context)
-                + weights.driving_fit * self.driving_fit_score(clip, context)
+                geographic * geo_scores[clip.clip_id]
+                + time_of_day * _time_of_day_fit(clip.category_shares, affinities)
+                + duration_fit * _duration_fit(clip.duration_s, available_s)
+                + driving_fit * driving_fits[clip.kind]
             )
-            scores[clip.clip_id] = value / self._norm
+            scores[clip.clip_id] = value / norm
         return scores
 
     # Sub-scores ---------------------------------------------------------------
@@ -144,45 +155,57 @@ class ContextScorer:
     def time_of_day_score(self, clip: AudioClip, context: ListenerContext) -> float:
         """How well the clip's categories fit the current time of day."""
         affinities = _TIME_OF_DAY_AFFINITY.get(context.time_of_day, {})
-        scores = clip.normalized_scores()
-        if not scores:
-            return 0.5
-        boosted = sum(share * affinities.get(name, 0.5) for name, share in scores.items())
-        return min(1.0, boosted)
+        return _time_of_day_fit(clip.category_shares, affinities)
 
     def duration_fit_score(self, clip: AudioClip, context: ListenerContext) -> float:
-        """How well the clip's duration fits the available time ΔT.
-
-        Clips longer than the remaining time are heavily penalized (they
-        would be cut off at arrival); short clips are mildly penalized when
-        ΔT is long because they fragment the experience.
-        """
-        available = context.available_time_s
-        if available is None or available <= 0:
-            return 0.5
-        if clip.duration_s > available:
-            overshoot = clip.duration_s / available
-            return max(0.0, 1.0 - (overshoot - 1.0) * 2.0) * 0.3
-        share = clip.duration_s / available
-        # Peak at clips covering 20%..80% of the available time.
-        if share < 0.2:
-            return 0.5 + 2.0 * share  # 0.5..0.9
-        if share <= 0.8:
-            return 1.0
-        return 1.0 - (share - 0.8)
+        """How well the clip's duration fits the available time ΔT."""
+        return _duration_fit(clip.duration_s, context.available_time_s)
 
     def driving_fit_score(self, clip: AudioClip, context: ListenerContext) -> float:
-        """How appropriate the content kind is for the driving condition.
+        """How appropriate the content kind is for the driving condition."""
+        return _driving_fit(clip.kind, context.driving_condition)
 
-        Demanding driving favours low-attention content (music), light
-        driving is neutral, parked listeners can handle anything.
-        """
-        condition = context.driving_condition
-        load = _KIND_ATTENTION_LOAD.get(clip.kind, 0.5)
-        if condition == DrivingCondition.PARKED:
-            return 1.0
-        if condition == DrivingCondition.LIGHT:
-            return 1.0 - 0.2 * load
-        if condition == DrivingCondition.MODERATE:
-            return 1.0 - 0.5 * load
-        return 1.0 - 0.9 * load
+
+def _time_of_day_fit(shares: Sequence[Tuple[str, float]], affinities: Dict[str, float]) -> float:
+    """The category shares weighted by the time-of-day affinities (0.5 if untagged)."""
+    if not shares:
+        return 0.5
+    boosted = sum(share * affinities.get(name, 0.5) for name, share in shares)
+    return min(1.0, boosted)
+
+
+def _duration_fit(duration_s: float, available_s: Optional[float]) -> float:
+    """How well a duration fits the available time ΔT.
+
+    Clips longer than the remaining time are heavily penalized (they
+    would be cut off at arrival); short clips are mildly penalized when
+    ΔT is long because they fragment the experience.
+    """
+    if available_s is None or available_s <= 0:
+        return 0.5
+    if duration_s > available_s:
+        overshoot = duration_s / available_s
+        return max(0.0, 1.0 - (overshoot - 1.0) * 2.0) * 0.3
+    share = duration_s / available_s
+    # Peak at clips covering 20%..80% of the available time.
+    if share < 0.2:
+        return 0.5 + 2.0 * share  # 0.5..0.9
+    if share <= 0.8:
+        return 1.0
+    return 1.0 - (share - 0.8)
+
+
+def _driving_fit(kind: ContentKind, condition: DrivingCondition) -> float:
+    """How appropriate a content kind is for a driving condition.
+
+    Demanding driving favours low-attention content (music), light
+    driving is neutral, parked listeners can handle anything.
+    """
+    load = _KIND_ATTENTION_LOAD.get(kind, 0.5)
+    if condition == DrivingCondition.PARKED:
+        return 1.0
+    if condition == DrivingCondition.LIGHT:
+        return 1.0 - 0.2 * load
+    if condition == DrivingCondition.MODERATE:
+        return 1.0 - 0.5 * load
+    return 1.0 - 0.9 * load

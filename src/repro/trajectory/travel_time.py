@@ -17,11 +17,11 @@ duration spread, which the scheduler uses to avoid over-filling ΔT.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 from repro.errors import NotFoundError, PredictionError
 from repro.geo import GeoPoint
-from repro.roadnet.routing import RoutePlanner
+from repro.roadnet.routing import Route, RoutePlanner
 from repro.trajectory.clustering import RouteCluster
 from repro.util.timeutils import time_of_day_bucket
 
@@ -32,6 +32,10 @@ DEFAULT_CONGESTION: Dict[str, float] = {
     "afternoon": 1.2,
     "evening": 1.4,
 }
+
+#: :meth:`TravelTimePredictor.estimate`'s ``route`` when the caller planned
+#: none: the predictor plans it with its own planner.
+_UNPLANNED: Any = object()
 
 
 @dataclass(frozen=True)
@@ -80,13 +84,17 @@ class TravelTimePredictor:
         now_s: float,
         cluster: Optional[RouteCluster] = None,
         fraction_completed: Optional[float] = None,
+        route: Optional[Route] = _UNPLANNED,
     ) -> TravelTimeEstimate:
         """Estimate the remaining travel time from the current position.
 
         ``cluster`` is the matched historical route cluster, if any;
         ``fraction_completed`` is the share of that route already driven
         (estimated by the caller from distance along the representative
-        route).  At least one of the two evidence sources must be available.
+        route).  ``route`` is the road-network route between the two
+        points when the caller has already planned it, or ``None`` when it
+        found none; left out, the predictor plans it.  At least one of the
+        two evidence sources must be available.
         """
         history_s: Optional[float] = None
         history_spread_s = 0.0
@@ -95,14 +103,19 @@ class TravelTimePredictor:
             history_s = cluster.median_duration_s * remaining_fraction
             history_spread_s = cluster.duration_stddev_s * max(0.25, remaining_fraction)
 
-        network_s: Optional[float] = None
-        if self._planner is not None:
-            bucket = time_of_day_bucket(now_s).name
-            factor = self._congestion.get(bucket, 1.0)
+        if route is _UNPLANNED:
             try:
-                network_s = self._planner.travel_time_s(current_position, destination) * factor
+                route = (
+                    self._planner.route_between_points(current_position, destination)
+                    if self._planner is not None
+                    else None
+                )
             except NotFoundError:  # no route is a legitimate outcome
-                network_s = None
+                route = None
+        network_s: Optional[float] = None
+        if route is not None:
+            factor = self._congestion.get(time_of_day_bucket(now_s).name, 1.0)
+            network_s = route.travel_time_s * factor
 
         if history_s is None and network_s is None:
             raise PredictionError(

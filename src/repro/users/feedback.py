@@ -39,6 +39,9 @@ FEEDBACK_WEIGHT: Dict[FeedbackKind, float] = {
     FeedbackKind.DISLIKE: -1.5,
 }
 
+#: The stored ``kind`` values of positive feedback (``FeedbackEvent.is_positive``).
+_POSITIVE_KINDS = frozenset(kind.value for kind, weight in FEEDBACK_WEIGHT.items() if weight > 0)
+
 
 @dataclass(frozen=True)
 class FeedbackEvent:
@@ -171,16 +174,26 @@ class FeedbackStore:
     def __len__(self) -> int:
         return sum(len(table) for table in self._db.tables("feedback"))
 
-    def events_for_user(self, user_id: str) -> List[FeedbackEvent]:
-        """All events of one user, time-ordered.
+    def _user_rows(self, user_id: str) -> List[Dict]:
+        """One user's rows, time-ordered.
 
         Served straight from the sorted ``(user_id, timestamp_s)`` index —
         a prefix range walk, no re-sort.
         """
-        rows = self._table_for(user_id).find_range(
+        return self._table_for(user_id).find_range(
             "user_time", low=(user_id,), high=(user_id,), high_inclusive=True
         )
-        return [self._to_event(row) for row in rows]
+
+    def events_for_user(self, user_id: str) -> List[FeedbackEvent]:
+        """All events of one user, time-ordered."""
+        return [self._to_event(row) for row in self._user_rows(user_id)]
+
+    def content_ids_for_user(self, user_id: str) -> List[str]:
+        """The content of every event of one user, time-ordered.
+
+        Read off the index rows: no :class:`FeedbackEvent` is built.
+        """
+        return [row["content_id"] for row in self._user_rows(user_id)]
 
     def events_page_for_user(
         self, user_id: str, *, cursor: Optional[str] = None, limit: int = 50
@@ -266,9 +279,12 @@ class FeedbackStore:
         return negative / len(terminal)
 
     def positive_content_ids(self, user_id: str) -> List[str]:
-        """Content the user reacted positively to (most recent last)."""
+        """Content the user reacted positively to (most recent last).
+
+        Read off the index rows, like :meth:`content_ids_for_user`.
+        """
         return [
-            event.content_id for event in self.events_for_user(user_id) if event.is_positive
+            row["content_id"] for row in self._user_rows(user_id) if row["kind"] in _POSITIVE_KINDS
         ]
 
     def negative_content_ids(self, user_id: str) -> List[str]:

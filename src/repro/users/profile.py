@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.content.categories import category_by_name, category_names
 from repro.errors import ValidationError
@@ -114,11 +114,24 @@ class UserPreferenceProfile:
         observations) get a neutral 0.5 for every clip.
         """
         total = sum(category_scores.values())
-        if total <= 0 or not self._scores:
+        if total <= 0:
             return 0.5
+        return self.share_affinity([(name, raw / total) for name, raw in category_scores.items()])
+
+    def share_affinity(self, shares: Sequence[Tuple[str, float]]) -> float:
+        """:meth:`affinity` over ``(name, share)`` pairs already normalized.
+
+        Takes an :attr:`AudioClip.category_shares
+        <repro.content.model.AudioClip.category_shares>` as is: the same
+        products summed in the same order, so the same bits as
+        :meth:`affinity` on the clip's ``category_scores``.
+        """
+        if not shares or not self._scores:
+            return 0.5
+        scores = self._scores
         weighted = 0.0
-        for name, raw in category_scores.items():
-            weighted += (raw / total) * self._scores.get(name, 0.0)
+        for name, share in shares:
+            weighted += share * scores.get(name, 0.0)
         return (weighted + 1.0) / 2.0
 
     def seeded(self, preferred: List[str], disliked: Optional[List[str]] = None) -> "UserPreferenceProfile":

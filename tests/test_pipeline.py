@@ -4,10 +4,11 @@ import pytest
 
 from repro.asr import SyntheticNewsCorpus
 from repro.content import AudioClip, ContentKind
-from repro.errors import PipelineError, PredictionError
+from repro.errors import NotFoundError, PipelineError, PredictionError
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import Gateway, MessageBus, PphcrServer, ServerConfig
-from repro.trajectory import DestinationPredictor
+from repro.roadnet.routing import RoutePlanner
+from repro.trajectory import DestinationPredictor, TravelTimePredictor
 from repro.users import UserProfile
 
 
@@ -206,6 +207,80 @@ class TestServerMobilityAndRecommendation:
         with pytest.raises(RuntimeError):
             server.build_context(commuter.user_id, now_s=observe)
         assert degraded.value == before + 1
+
+    def test_every_tick_publishes_its_context(self, small_world):
+        server = small_world.server
+        metrics = server.telemetry.metrics
+        commuter = small_world.commuters[2]
+        drive = small_world.commuter_generator.live_drive(commuter, day=small_world.today)
+        observe = drive.departure_s + 240.0
+        server.users.ingest_fixes(drive.fixes(until_s=observe), skip_stale=True)
+        ticks = [
+            # Long after the last fix: no fixes in the window, not driving.
+            (small_world.commuters[3].user_id, small_world.today_start_s + 5 * 86400.0, False),
+            (commuter.user_id, observe, True),
+        ]
+        for user_id, now_s, driving in ticks:
+            built = _published(metrics, "context.built")
+            decided = _published(metrics, "recommendation.decision")
+            assert server.build_context(user_id, now_s=now_s).is_driving is driving
+            server.recommend(user_id, now_s=now_s)
+            assert _published(metrics, "context.built") == built + 2
+            assert _published(metrics, "recommendation.decision") == decided + 1
+
+    def test_driving_tick_plans_one_route(self, small_world, monkeypatch):
+        server = small_world.server
+        commuter = small_world.commuters[2]
+        drive = small_world.commuter_generator.live_drive(commuter, day=small_world.today)
+        observe = drive.departure_s + 240.0
+        server.users.ingest_fixes(drive.fixes(until_s=observe), skip_stale=True)
+        searches, estimates = [], []
+        search = RoutePlanner.route_between_nodes
+        estimate = TravelTimePredictor.estimate
+
+        def counted_search(planner, start_id, end_id):
+            searches.append((start_id, end_id))
+            return search(planner, start_id, end_id)
+
+        def recorded_estimate(predictor, *args, **kwargs):
+            estimates.append((args, kwargs))
+            return estimate(predictor, *args, **kwargs)
+
+        monkeypatch.setattr(RoutePlanner, "route_between_nodes", counted_search)
+        monkeypatch.setattr(TravelTimePredictor, "estimate", recorded_estimate)
+        server.recommend(commuter.user_id, now_s=observe)
+        assert len(searches) == 1
+
+        # The tick's ΔT is what a stand-alone predictor plans for itself.
+        searches.clear()
+        estimates.clear()
+        context = server.build_context(commuter.user_id, now_s=observe)
+        assert len(searches) == 1
+        ((args, kwargs),) = estimates
+        assert kwargs.pop("route") is not None
+        assert kwargs["cluster"] is not None
+        alone = estimate(TravelTimePredictor(server.route_planner), *args, **kwargs)
+        assert len(searches) == 2
+        assert alone.network_component_s is not None
+        assert context.travel_time == alone
+        assert context.route is not None
+
+        # No route: ΔT from history alone, no zones, one no_route count.
+        def no_path(planner, start_id, end_id):
+            raise NotFoundError(f"no drivable path between {start_id!r} and {end_id!r}")
+
+        monkeypatch.setattr(RoutePlanner, "route_between_nodes", no_path)
+        no_route = server.telemetry.metrics.counter(
+            "recommend_degraded_total", labels=("reason",)
+        ).labels(reason="no_route")
+        before = no_route.value
+        context = server.build_context(commuter.user_id, now_s=observe)
+        assert no_route.value == before + 1
+        assert context.route is None
+        assert context.distraction_zones == []
+        assert context.travel_time == estimate(TravelTimePredictor(None), *args, **kwargs)
+        assert context.travel_time.network_component_s is None
+        assert context.travel_time.history_weight == 1.0
 
     def test_recommend_for_parked_user_refuses(self, small_world):
         server = small_world.server

@@ -5,15 +5,21 @@ seeded random catalogues — transcripts, publish-time ties, geo tags from on
 the route to far away:
 
 * ``ContentBasedScorer.score_many`` (norms computed at fit time, per-user
-  best-similarity memo) against the per-clip reference ``score``, whose
-  similarity term is ``cosine_similarity``, across a memo's whole life;
+  memo of each clip's cosine to each like) against the per-clip reference
+  ``score``, whose similarity term is ``cosine_similarity``, across a
+  memo's whole life;
 * ``CandidateFilter.candidates`` (lazy newest-first walk) against the eager
   filter over ``clips_published_after`` / ``clips_newest_first``;
 * candidate-side geo pruning against ``GridIndex.query_bbox`` pruning with
   the whole catalogue indexed.
 
-Plus the memo's size bound, ``lookup_clip``'s error contract, and a
-threaded stress test of the route-scorer cache and the content memo.
+Plus the hoisted scorers against their per-clip forms: ``ContextScorer``'s
+``score_many`` against ``score`` in every time-of-day bucket, driving
+condition and kind of ΔT, and ``share_affinity`` over ``category_shares``
+against the per-call dict expression.  And the memo's size and cosine
+bounds (a new like costs one cosine per fitted clip), ``lookup_clip``'s
+error contract, and a threaded stress test of the route-scorer cache and
+the content memo.
 """
 
 from __future__ import annotations
@@ -36,9 +42,12 @@ from repro.recommender.content_based import (
     CandidateFilterConfig,
     ContentBasedScorer,
 )
-from repro.recommender.context import ListenerContext
+from repro.recommender import context_relevance
+from repro.recommender.context import DrivingCondition, ListenerContext
 from repro.recommender.context_relevance import ContextScorer
-from repro.users import FeedbackKind, UserManager, UserProfile
+from repro.trajectory import TravelTimeEstimate
+from repro.users import FeedbackKind, UserManager, UserPreferenceProfile, UserProfile
+from repro.users.feedback import FeedbackStore
 
 NOW = 40 * 86400.0
 BASE = GeoPoint(45.07, 7.68)
@@ -176,32 +185,66 @@ class TestContentScoringParity:
         content, users, vocabulary, _route = build_world(seeded_rng.fork("world"))
         scorer = ContentBasedScorer(content, users)
         scorer.fit_text_model()
-        misses = []
-        real = content_based._best_similarity
+        pairs = []
+        real = content_based.cosine_similarity_normed
         monkeypatch.setattr(
-            content_based, "_best_similarity", lambda *args: misses.append(1) or real(*args)
+            content_based, "cosine_similarity_normed", lambda *args: pairs.append(1) or real(*args)
         )
         batch = content.clips()[:120]
-        fitted = sum(1 for clip in batch if clip.transcript)
+
+        def fitted() -> int:
+            # Clips with a non-empty fitted vector: the others score 0.5 with no pair.
+            vectors = scorer._text_model.vectors
+            return sum(1 for clip in batch if vectors.get(clip.clip_id))
+
+        def liked_window():
+            return scorer._text_model.memo["u2"][0]
 
         def tick(now_s: float) -> int:
-            misses.clear()
+            pairs.clear()
             assert scorer.score_many("u2", batch, now_s=now_s) == reference_scores(
                 scorer, "u2", batch, now_s
             )
-            return len(misses)
+            return len(pairs)
 
-        assert tick(NOW) == fitted
-        assert tick(NOW + 120.0) == 0
-        replaced = next(clip for clip in batch if clip.transcript)
+        clock = iter(NOW + 120.0 * step for step in range(100))
+        likes = iter(
+            clip.clip_id
+            for clip in content.clips()[150:]
+            if scorer._text_model.vectors.get(clip.clip_id)
+        )
+
+        def like() -> str:
+            new_like = next(clip_id for clip_id in likes if clip_id not in liked_window())
+            users.record_feedback("u2", new_like, FeedbackKind.LIKE, timestamp_s=next(clock))
+            return new_like
+
+        assert fitted() > 50
+        assert tick(next(clock)) == fitted() * len(liked_window())
+        assert tick(next(clock)) == 0
+        # A replaced clip is a new object: it misses against every like.
+        replaced = next(clip for clip in batch if scorer._text_model.vectors.get(clip.clip_id))
         content.replace_clip(dataclasses.replace(replaced, title="renamed"))
         batch = [content.clip(clip.clip_id) for clip in batch]
-        assert tick(NOW + 240.0) == 1
-        new_like = next(clip for clip in content.clips()[150:] if clip.transcript)
-        users.record_feedback("u2", new_like.clip_id, FeedbackKind.LIKE, timestamp_s=NOW)
-        assert tick(NOW + 360.0) == fitted
+        assert tick(next(clock)) == len(liked_window())
+        # A new like costs one pair per fitted clip.
+        before = liked_window()
+        assert len(before) < content_based._LIKED_WINDOW
+        new_like = like()
+        assert tick(next(clock)) == fitted()
+        assert liked_window() == before + (new_like,)
+        # Fill the window; then a like pushes the oldest out, still one pair per clip.
+        while len(liked_window()) < content_based._LIKED_WINDOW:
+            like()
+            assert tick(next(clock)) == fitted()
+        full = liked_window()
+        new_like = like()
+        assert tick(next(clock)) == fitted()
+        assert liked_window() == full[1:] + (new_like,)
+        assert tick(next(clock)) == 0
+        # A refit starts a new memo: every pair is computed again.
         scorer.fit_text_model()
-        assert tick(NOW + 480.0) == fitted
+        assert tick(next(clock)) == fitted() * content_based._LIKED_WINDOW
 
     def test_memo_holds_at_most_one_batch_per_user(self, seeded_rng):
         content, users, vocabulary, route = build_world(seeded_rng.fork("world"))
@@ -211,6 +254,9 @@ class TestContentScoringParity:
         scorer.fit_text_model()
         rng = seeded_rng.fork("churn")
         seen = set()
+        windows = []
+        fitted_ids = sorted(scorer._text_model.vectors)
+        like_rng = seeded_rng.fork("likes")
         for step in range(40):
             now_s = NOW + step * 3 * 3600.0
             for index in range(rng.randint(0, 6)):
@@ -223,9 +269,16 @@ class TestContentScoringParity:
                 batch = candidate_filter.candidates(user_id, now_s=now_s)
                 seen.update(clip.clip_id for clip in batch)
                 scorer.score_many(user_id, batch, now_s=now_s)
-                _liked, entries = scorer._text_model.memo[user_id]
+                liked, entries = scorer._text_model.memo[user_id]
                 assert len(entries) <= config.max_candidates
+                assert len(liked) <= content_based._LIKED_WINDOW
+                assert all(len(cosines) == len(liked) for _clip, cosines, _best in entries.values())
+                windows.append(len(liked))
+                # A like of a fitted clip slides the liked window.
+                liked_id = like_rng.choice(fitted_ids)
+                users.record_feedback(user_id, liked_id, FeedbackKind.LIKE, timestamp_s=now_s)
         assert len(seen) > 5 * config.max_candidates  # the candidate set really churned
+        assert max(windows) == content_based._LIKED_WINDOW  # and so did the liked window
 
 
 class TestCandidateParity:
@@ -300,15 +353,175 @@ class TestCandidateParity:
 
     def test_candidates_read_the_feedback_history_once(self, seeded_rng, monkeypatch):
         content, users, _vocabulary, _route = build_world(seeded_rng.fork("world"))
-        walks = []
-        real = users.feedback.events_for_user
+        scorer = ContentBasedScorer(content, users)
+        scorer.fit_text_model()
+        walks, events = [], []
+        real_rows = users.feedback._user_rows
         monkeypatch.setattr(
             users.feedback,
-            "events_for_user",
-            lambda user_id: walks.append(user_id) or real(user_id),
+            "_user_rows",
+            lambda user_id: walks.append(user_id) or real_rows(user_id),
         )
-        CandidateFilter(content, users).candidates("u1", now_s=NOW)
+        real_event = FeedbackStore._to_event
+        monkeypatch.setattr(
+            FeedbackStore,
+            "_to_event",
+            staticmethod(lambda row: events.append(row) or real_event(row)),
+        )
+        batch = CandidateFilter(content, users).candidates("u1", now_s=NOW)
         assert walks == ["u1"]
+        walks.clear()
+        scorer.score_many("u1", batch, now_s=NOW)
+        assert walks == ["u1"]
+        assert events == []  # both read the index rows, and build no FeedbackEvent
+        assert users.feedback.events_for_user("u1") and events  # the counter does count
+
+
+def dict_affinity(preferences, category_scores) -> float:
+    """``UserPreferenceProfile.affinity`` as it was: one division per category per call."""
+    total = sum(category_scores.values())
+    if total <= 0 or not preferences:
+        return 0.5
+    weighted = 0.0
+    for name, raw in category_scores.items():
+        weighted += (raw / total) * preferences.get(name, 0.0)
+    return (weighted + 1.0) / 2.0
+
+
+def dict_time_of_day(clip, context) -> float:
+    """``ContextScorer.time_of_day_score`` as it was, over a fresh normalized dict."""
+    affinities = context_relevance._TIME_OF_DAY_AFFINITY.get(context.time_of_day, {})
+    total = sum(clip.category_scores.values())
+    if total <= 0:
+        return 0.5
+    scores = {name: score / total for name, score in clip.category_scores.items()}
+    return min(1.0, sum(share * affinities.get(name, 0.5) for name, share in scores.items()))
+
+
+class TestHoistedScorerParity:
+    #: Hours after midnight in each time-of-day bucket (``NOW`` is a midnight).
+    HOURS = {"night": 3, "morning": 8, "afternoon": 14, "evening": 20}
+    #: (speed m/s, route complexity, driving) for each driving condition.
+    CONDITIONS = {
+        DrivingCondition.PARKED: (0.0, 0.0, False),
+        DrivingCondition.LIGHT: (10.0, 0.1, True),
+        DrivingCondition.MODERATE: (12.0, 0.4, True),
+        DrivingCondition.DEMANDING: (30.0, 0.7, True),
+    }
+    #: Usable ΔT: unknown, none left, overdue, short and long.
+    AVAILABLE = (None, 0.0, -60.0, 300.0, 20000.0)
+
+    @staticmethod
+    def odd_clips(template):
+        """Untagged, zero-sum and every-kind variants of one clip."""
+        first, second = category_names()[:2]
+        odd = [
+            dataclasses.replace(template, clip_id="untagged", category_scores={}),
+            dataclasses.replace(
+                template, clip_id="zero-sum", category_scores={first: 0.0, second: 0.0}
+            ),
+        ]
+        odd += [
+            dataclasses.replace(template, clip_id=f"kind-{kind.value}", kind=kind)
+            for kind in ContentKind
+        ]
+        return odd
+
+    def test_context_score_many_matches_per_clip_score(self, seeded_rng):
+        content, _users, _vocabulary, route = build_world(seeded_rng.fork("world"))
+        rng = seeded_rng.fork("contexts")
+        scorer = ContextScorer()
+        catalogue = content.clips()
+        seen = set()
+        for bucket, hour in self.HOURS.items():
+            for condition, (speed, complexity, driving) in self.CONDITIONS.items():
+                for available in self.AVAILABLE:
+                    travel_time = None
+                    if available is not None:
+                        travel_time = TravelTimeEstimate(
+                            expected_s=max(available, 0.0),
+                            low_s=available,
+                            high_s=max(available, 0.0),
+                            history_component_s=None,
+                            network_component_s=available,
+                            history_weight=0.0,
+                        )
+                    context = ListenerContext(
+                        user_id="u1",
+                        now_s=NOW + hour * 3600.0,
+                        position=route.point_at_distance(rng.uniform(0.0, route.length_m)),
+                        speed_mps=speed,
+                        is_driving=driving,
+                        route=route if driving else None,
+                        travel_time=travel_time,
+                        route_complexity=complexity,
+                    )
+                    assert (context.time_of_day, context.driving_condition) == (bucket, condition)
+                    assert context.available_time_s == available
+                    batch = rng.sample(catalogue, 60) + self.odd_clips(rng.choice(catalogue))
+                    per_clip = {clip.clip_id: scorer.score(clip, context) for clip in batch}
+                    assert scorer.score_many(batch, context) == per_clip
+                    for clip in batch:
+                        assert scorer.time_of_day_score(clip, context) == dict_time_of_day(
+                            clip, context
+                        )
+                    seen.add((bucket, condition, available))
+        assert len(seen) == len(self.HOURS) * len(self.CONDITIONS) * len(self.AVAILABLE)
+
+    def test_share_affinity_matches_the_dict_expression(self, seeded_rng):
+        rng = seeded_rng.fork("affinity")
+        names = category_names()
+        profiles = [UserPreferenceProfile("never-seen")]
+        for index in range(8):
+            profile = UserPreferenceProfile(f"p{index}").seeded(
+                rng.sample(names, 4), rng.sample(names, 3)
+            )
+            for _ in range(rng.randint(0, 6)):
+                learned = {rng.choice(names): rng.uniform(0.1, 3.0) for _ in range(3)}
+                profile.update(learned, positive=rng.random() < 0.6)
+            profiles.append(profile)
+        first, second = names[:2]
+        category_dicts = [{}, {first: 0.0}, {first: 0.0, second: 0.0}]
+        for _ in range(400):
+            category_dicts.append(
+                {
+                    rng.choice(names): rng.choice(
+                        [0.0, rng.uniform(0.0, 1.0), rng.uniform(0.0, 40.0)]
+                    )
+                    for _ in range(rng.randint(1, 6))
+                }
+            )
+        for category_scores in category_dicts:
+            clip = AudioClip(
+                clip_id="c",
+                title="c",
+                kind=ContentKind.PODCAST,
+                duration_s=60.0,
+                category_scores=category_scores,
+            )
+            for profile in profiles:
+                expected = dict_affinity(profile.as_vector(), category_scores)
+                assert profile.affinity(category_scores) == expected
+                assert profile.share_affinity(clip.category_shares) == expected
+
+    def test_normalized_scores_is_a_fresh_dict(self):
+        first, second, third = category_names()[:3]
+        clip = AudioClip(
+            clip_id="c",
+            title="c",
+            kind=ContentKind.NEWS,
+            duration_s=60.0,
+            category_scores={first: 2.0, second: 1.0},
+        )
+        expected = {first: 2.0 / 3.0, second: 1.0 / 3.0}
+        scores = clip.normalized_scores()
+        assert scores == expected
+        scores[first] = 99.0
+        scores[third] = 1.0
+        del scores[second]
+        assert clip.normalized_scores() == expected
+        assert clip.normalized_scores() is not clip.normalized_scores()
+        assert clip.category_shares == ((first, 2.0 / 3.0), (second, 1.0 / 3.0))
 
 
 class TestLookupClip:
