@@ -15,8 +15,6 @@ the performance trajectory is tracked from PR to PR:
   recommendation reads) and encode-once catalogue reads (µs per clip page
   on the first and warm cursor walks, per skewed clip read, and the share
   of clip 200s served from encoded text; byte parity gated, times a trend);
-* ``BENCH_storage_engine.json`` — index-aware query planning (PR 5's
-  declarative indexes + planner vs. the full-scan reference path);
 * ``BENCH_shard_overhead.json`` — what a 4-shard layout costs over one
   shard on the same ``commute``-shaped multi-user tracking batches (CPU
   only, no wire wait; responses and stores asserted identical), with the
@@ -99,14 +97,6 @@ from bench_perf_route_clustering import (  # noqa: E402
     cluster_trips,
     fast_run,
     reference_subset_run,
-)
-from bench_storage_engine import (  # noqa: E402
-    QUERIES as STORAGE_QUERIES,
-    ROWS as STORAGE_ROWS,
-    SCAN_SUBSET as STORAGE_SCAN_SUBSET,
-    assert_parity as assert_storage_parity,
-    build_workload as build_storage_workload,
-    run_workload as run_storage_workload,
 )
 from bench_wal_durability import (  # noqa: E402
     OVERHEAD_CEILING_PCT as WAL_OVERHEAD_CEILING_PCT,
@@ -375,47 +365,6 @@ def smoke_api_gateway() -> str:
         f"clip pages {catalogue['first_walk_us_per_page']:.0f} -> "
         f"{catalogue['warm_walk_us_per_page']:.0f} us warm, "
         f"{catalogue['hit_share']:.1%} of clip 200s from encoded text"
-    )
-    return path
-
-
-def smoke_storage_engine() -> str:
-    db, queries = build_storage_workload()
-    assert_storage_parity(db, queries[:20])
-
-    scan_elapsed, _scan_results = run_storage_workload(
-        db, queries[:STORAGE_SCAN_SUBSET], scan=True
-    )
-    scan_scaled = scan_elapsed * (STORAGE_QUERIES / STORAGE_SCAN_SUBSET)
-
-    best_elapsed = float("inf")
-    for _ in range(FAST_ROUNDS):
-        elapsed, _results = run_storage_workload(db, queries, scan=False)
-        best_elapsed = min(best_elapsed, elapsed)
-
-    scan_ops = STORAGE_QUERIES / scan_scaled
-    fast_ops = STORAGE_QUERIES / best_elapsed
-    stats = db.table("clips").stats()
-    payload = {
-        "bench": "storage_engine",
-        "unix_time_s": round(time.time(), 3),
-        "workload": {
-            "rows": STORAGE_ROWS,
-            "queries": STORAGE_QUERIES,
-            "scan_subset": STORAGE_SCAN_SUBSET,
-        },
-        "results": {
-            "scan_queries_per_s": round(scan_ops, 1),
-            "indexed_queries_per_s": round(fast_ops, 1),
-            "speedup": round(fast_ops / scan_ops, 2),
-            "indexed_elapsed_ms": round(best_elapsed * 1000.0, 2),
-            "index_hits": stats["index_hits"],
-        },
-    }
-    path = _write("BENCH_storage_engine.json", payload)
-    print(
-        f"storage-engine smoke: planner {fast_ops:,.0f} queries/s "
-        f"(scan {scan_ops:,.0f} queries/s, {fast_ops / scan_ops:.1f}x)"
     )
     return path
 
@@ -694,7 +643,6 @@ def main() -> int:
         smoke_streaming_ingest(),
         smoke_route_clustering(),
         smoke_api_gateway(),
-        smoke_storage_engine(),
         smoke_shard_overhead(),
         smoke_telemetry_overhead(),
         smoke_wal_durability(),

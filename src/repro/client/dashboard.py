@@ -178,8 +178,8 @@ class ControlDashboard:
         """Per-database storage-engine statistics (Figure-5 ops panel).
 
         One entry per backing database — metadata, profiles, feedbacks,
-        tracking — with row counts, write counters and the planner's
-        index-hit/scan split.  Shard-partitioned databases report their
+        tracking — with row counts, write counters and the index-hit/scan
+        split.  Shard-partitioned databases report their
         counters *merged* across shards in the same
         :meth:`Database.stats() <repro.storage.database.Database.stats>`
         shape, plus a ``"shards"`` list with each shard's own stats so the

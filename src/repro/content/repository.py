@@ -51,7 +51,6 @@ class ContentRepository:
                 indexes=[
                     IndexSpec("kind"),
                     IndexSpec("primary_category"),
-                    IndexSpec("duration_s", kind="sorted", columns=("duration_s",)),
                     # Publish-time ordering over (published_s, -seq): a
                     # descending walk (the newest-first listing) keeps clips
                     # published at the same instant in insertion order — the
@@ -356,11 +355,6 @@ class ContentRepository:
             "published", limit=limit, after_token=cursor, descending=True
         )
         return [self._clips[row["clip_id"]] for row in page.items], page.next_token
-
-    def clips_max_duration(self, max_duration_s: float) -> List[AudioClip]:
-        """Clips that fit inside a time budget (planner: duration index)."""
-        rows = self._db.query("clips").where_le("duration_s", max_duration_s).all()
-        return [self._clips[row["clip_id"]] for row in rows]
 
     def geo_tagged_clips(self) -> List[AudioClip]:
         """All clips carrying a geographic footprint."""

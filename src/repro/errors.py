@@ -28,10 +28,6 @@ class SchemaError(ReproError):
     """A record does not match the table schema it is being written to."""
 
 
-class QueryError(ReproError):
-    """A malformed query was issued against one of the in-memory stores."""
-
-
 class GeometryError(ReproError):
     """A geometric primitive was constructed from invalid coordinates."""
 

@@ -9,7 +9,7 @@ The substrate every layer reports through (see ``docs/ARCHITECTURE.md``,
   ``Gateway.handle_wire`` down every layer on its thread, with ring
   buffers of recent and slow traces;
 * :class:`SlowQueryLog` — table operations over a threshold, with their
-  ``explain()`` plan and shard;
+  access plan and shard;
 * :class:`Telemetry` — the bundle the server wires through the layers,
   with null variants behind ``TelemetryConfig(enabled=False)`` keeping
   the disabled hot path negligible.

@@ -1,7 +1,7 @@
 """Labeled metrics: counters, gauges and fixed-bucket streaming histograms.
 
 The registry is the one sink every instrumented layer reports through
-(gateway request path, storage planner, WAL, streaming engines,
+(gateway request path, storage reads, WAL, streaming engines,
 compactor).  Three design rules keep it cheap enough to leave on in
 production:
 

@@ -1,11 +1,10 @@
 """The slow-query log: table operations over a threshold, with their plan.
 
-Every instrumented storage operation — planner-routed :class:`Query`
-terminals, keyset ``page_by_index`` walks, sharded fan-out merges —
-reports its plan and wall time to the telemetry query observer; anything
-over the configured threshold lands here with enough context to act on:
-which database and table, which shard, which access path
-(:meth:`Query.explain`-shaped plan), how long, how many rows.
+Every instrumented storage operation — keyset ``page_by_index`` walks,
+sharded fan-out merges — reports its plan and wall time to the telemetry
+query observer; anything over the configured threshold lands here with
+enough context to act on: which database and table, which shard, which
+access path (the plan's index and strategy), how long, how many rows.
 
 The log is a ring buffer (``deque(maxlen=...)``), so it is O(1) per entry
 and never grows: an ops surface, not an audit trail.

@@ -12,9 +12,9 @@
 The ``observe_*`` helpers install the instrumentation:
 
 * :meth:`observe_database` / :meth:`observe_sharded` attach a query
-  observer to every table (timing planner queries and keyset page walks)
-  and register a pull-time collector folding ``Database.stats()`` row/
-  index-hit/scan counters into gauges.
+  observer to every table (timing keyset page walks) and register a
+  pull-time collector folding ``Database.stats()`` row/index-hit/scan
+  counters into gauges.
 
 Telemetry state is process-lifetime observability: it is deliberately
 **excluded** from server snapshot/restore (a restored process starts with
@@ -85,8 +85,8 @@ class Telemetry:
     ) -> Optional[Callable[[Dict[str, Any], float, int], None]]:
         """The observer a :class:`~repro.storage.table.Table` calls per query.
 
-        Receives ``(plan, elapsed_s, rows)`` where ``plan`` is
-        :meth:`Query.explain`-shaped (keyset page walks report strategy
+        Receives ``(plan, elapsed_s, rows)`` where ``plan`` names the
+        table, index and strategy (keyset page walks report strategy
         ``index_page``).  Records a per-database latency histogram and a
         per-strategy counter; anything over the slow threshold also lands
         in the slow-query log and — when a trace is active — as a slow
@@ -188,12 +188,12 @@ class Telemetry:
         )
         hits = self.metrics.gauge(
             "storage_index_hits",
-            "Planner index hits by database/shard",
+            "Index reads by database/shard",
             labels=("database", "shard"),
         )
         scans = self.metrics.gauge(
             "storage_scans",
-            "Planner full scans (fallback path) by database/shard",
+            "Full table scans by database/shard",
             labels=("database", "shard"),
         )
         return rows, hits, scans

@@ -5,9 +5,9 @@ active ``(trace, span)`` context is thread-local, so concurrent callers on
 different threads never share a trace; within a request every layer runs
 on the caller's thread (multi-shard work included), so spans opened
 anywhere below the gateway attach to the request's trace without any
-hand-off.  Spans carry tags — the shard id and the planner's ``explain()``
-output for storage queries — so a slow response can be tied to the shard
-and access path that caused it.
+hand-off.  Spans carry tags — the shard id and the access plan of a
+storage read — so a slow response can be tied to the shard and access
+path that caused it.
 
 Finished traces land in two ring buffers (recent and slow) sized by
 configuration; ``GET /v1/ops/traces`` serves both.  A trace is *slow* when

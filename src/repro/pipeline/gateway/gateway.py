@@ -167,8 +167,9 @@ class _EncodedBodies:
         self.charged += charge
 
 
-#: Page size of the paginated reads when a request names no ``limit``, and
-#: the largest ``limit`` they honour.
+#: Page size of the paginated reads (and of ``GET /v1/ops/traces``) when a
+#: request names no ``limit``, and the largest ``limit`` the paginated
+#: reads honour.
 DEFAULT_PAGE_LIMIT = 50
 MAX_PAGE_LIMIT = 200
 
@@ -440,7 +441,9 @@ class Gateway:
 
     # Shared helpers -------------------------------------------------------
 
-    def _page_limit(self, ctx: RequestContext) -> int:
+    @staticmethod
+    def _limit(ctx: RequestContext) -> int:
+        """The request's ``?limit=``: a positive integer, uncapped."""
         raw = ctx.request.query.get("limit")
         if raw is None:
             return DEFAULT_PAGE_LIMIT
@@ -450,7 +453,10 @@ class Gateway:
             raise ValidationError(f"limit must be an integer, got {raw!r}") from exc
         if limit < 1:
             raise ValidationError(f"limit must be >= 1, got {limit}")
-        return min(limit, MAX_PAGE_LIMIT)
+        return limit
+
+    def _page_limit(self, ctx: RequestContext) -> int:
+        return min(self._limit(ctx), MAX_PAGE_LIMIT)
 
     @staticmethod
     def _fix_from(user_id: str, data: Dict[str, Any]) -> GpsFix:
@@ -900,15 +906,7 @@ class Gateway:
         telemetry = self._telemetry
         if not telemetry.enabled:
             return ApiResponse(status=200, body={"enabled": False})
-        raw = ctx.request.query.get("limit")
-        limit = 50
-        if raw is not None:
-            try:
-                limit = int(raw)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"limit must be an integer, got {raw!r}") from exc
-            if limit < 1:
-                raise ValidationError(f"limit must be >= 1, got {limit}")
-        body = telemetry.traces_snapshot(limit)
+        # Uncapped: the slow-query log holds more entries than a page.
+        body = telemetry.traces_snapshot(self._limit(ctx))
         body["enabled"] = True
         return ApiResponse(status=200, body=body)

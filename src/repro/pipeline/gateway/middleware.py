@@ -15,7 +15,6 @@ turns into statuses:
 
 =============================  ======
 :class:`ValidationError`       400
-:class:`QueryError`            400
 :class:`GeometryError`         400
 :class:`NotFoundError`         404
 :class:`DuplicateError`        409
@@ -52,7 +51,6 @@ from repro.errors import (
     NotFoundError,
     PipelineError,
     PredictionError,
-    QueryError,
     ReproError,
     SchedulingError,
     SchemaError,
@@ -68,7 +66,6 @@ def map_error(exc: ReproError) -> ApiResponse:
     taxonomy = (
         # The caller sent something malformed.
         (ValidationError, 400),
-        (QueryError, 400),
         (GeometryError, 400),
         # The referenced entity is absent, or already present.
         (NotFoundError, 404),

@@ -1,4 +1,4 @@
-"""An in-memory storage engine: typed tables, declarative indexes, a planner.
+"""An in-memory storage engine: typed tables, declarative indexes, cursors.
 
 The paper's server keeps its metadata, user profiles and feedback logs in
 conventional relational databases (plus PostGIS for tracking data).  This
@@ -7,11 +7,9 @@ reproduction:
 
 * typed tables with schemas, primary keys and **declarative secondary
   indexes** (:class:`IndexSpec`: hash, sorted and spatial kinds) maintained
-  automatically on every mutation;
-* an **index-aware query planner** (:class:`Query`) that routes equality,
-  membership, range and ordered reads through a matching index — with
-  :meth:`Query.explain` and scan-parity guarantees — and falls back to the
-  seed's full scan otherwise;
+  automatically on every mutation and read directly by the stores
+  (``find_by_index``, ``find_range``, ``iter_range_keys``,
+  ``find_within``), each read equal to its full-scan twin;
 * **first-class keyset cursors** (:class:`Page`) for pagination that stays
   stable under concurrent inserts;
 * a **unit-of-work write path** (:meth:`Database.batch`) with per-table
@@ -21,8 +19,7 @@ reproduction:
 
 from repro.storage.cursor import Page, decode_token, encode_token
 from repro.storage.database import Database, payload_from_bytes, payload_to_bytes
-from repro.storage.index import HashIndex, SecondaryIndex, SortedIndex, SpatialIndex
-from repro.storage.query import Query
+from repro.storage.index import HashIndex, SortedIndex, SpatialIndex
 from repro.storage.sharding import ShardedDatabase, ShardingConfig, shard_of
 from repro.storage.spec import IndexSpec
 from repro.storage.table import Change, Column, Schema, Table
@@ -37,9 +34,7 @@ __all__ = [
     "HashIndex",
     "IndexSpec",
     "Page",
-    "Query",
     "Schema",
-    "SecondaryIndex",
     "ShardedDatabase",
     "ShardingConfig",
     "SortedIndex",

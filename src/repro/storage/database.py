@@ -16,7 +16,7 @@ persistence boundary:
 * :meth:`Database.snapshot` / :meth:`Database.restore` capture and reload
   every table as one versioned, JSON-serializable payload;
 * :meth:`Database.stats` aggregates per-table row counts, mutation
-  counters and the planner's index-hit/scan counters for the dashboard.
+  counters and the index-hit/scan counters for the dashboard.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 from repro.errors import DuplicateError, NotFoundError, ValidationError
-from repro.storage.query import Query
 from repro.storage.table import Change, ChangeListener, Schema, Table
 
 #: One atomic commit as observed by a database commit listener: the
@@ -137,10 +136,6 @@ class Database:
     def table_names(self) -> List[str]:
         """Names of all tables."""
         return sorted(self._tables.keys())
-
-    def query(self, table_name: str) -> Query:
-        """Start a query against a table."""
-        return Query(self.table(table_name))
 
     def total_rows(self) -> int:
         """Total number of rows across all tables (used by dashboards)."""
@@ -294,7 +289,7 @@ class Database:
         return self.restore(payload_from_bytes(raw))
 
     def stats(self) -> Dict[str, Any]:
-        """Aggregate per-table statistics (rows, writes, planner counters)."""
+        """Aggregate per-table statistics (rows, writes, index-hit/scan counters)."""
         tables = {name: table.stats() for name, table in self._tables.items()}
         return {
             "database": self._name,

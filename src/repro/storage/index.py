@@ -11,8 +11,8 @@ Three kinds back the declarative :class:`~repro.storage.spec.IndexSpec`:
 Indexes never store row contents, only primary keys (plus, for sorted
 indexes, the key and the table's row sequence), so the owning table stays
 the single source of truth.  Rows whose index key is ``None`` (or contains
-``None``) are simply not indexed — nullable columns work naturally and the
-planner falls back to a scan for ``IS NULL``-style predicates.
+``None``) are simply not indexed — nullable columns work naturally, and
+``IS NULL``-style reads are a :meth:`~repro.storage.table.Table.scan`.
 """
 
 from __future__ import annotations
@@ -97,10 +97,6 @@ class HashIndex:
         """Primary keys whose index key equals ``value``, in row order."""
         return list(self._buckets.get(_normalize(value), ()))
 
-    def distinct_keys(self) -> List[Any]:
-        """All distinct index keys currently present."""
-        return sorted(self._buckets.keys(), key=repr)
-
     def clear(self) -> None:
         """Drop all entries."""
         self._buckets.clear()
@@ -109,40 +105,30 @@ class HashIndex:
         return _normalize(self._key_func(row))
 
 
-#: Backwards-compatible name for the seed's only index structure.
-SecondaryIndex = HashIndex
-
-
 class SortedIndex:
     """A bisect-backed ordered index over a computed key tuple.
 
-    Entries are ``(key, signed_seq, primary_key)`` kept sorted ascending,
-    where ``signed_seq`` is the table's monotonic row sequence (negated for
-    ``ties="reverse"`` specs, so *descending* walks preserve insertion
-    order among equal keys).  Everything — range queries, ordered walks,
-    keyset cursor positioning — is a bisect plus a slice.
+    Entries are ``(key, seq, primary_key)`` kept sorted ascending, where
+    ``seq`` is the table's monotonic row sequence, so equal keys walk in
+    insertion order ascending and in reverse insertion order descending.
+    Everything — range queries, ordered walks, keyset cursor positioning —
+    is a bisect plus a slice.
 
     Rows whose key contains ``None`` are not indexed (``None`` does not
-    order against real values); the planner falls back to scans for them.
+    order against real values); a scan still finds them.
     """
 
     kind = "sorted"
 
-    def __init__(self, name: str, key_func: KeyFunc, *, ties: str = "forward") -> None:
+    def __init__(self, name: str, key_func: KeyFunc) -> None:
         self._name = name
         self._key_func = key_func
-        self._reverse_ties = ties == "reverse"
         self._entries: List[Tuple[Any, int, Any]] = []
 
     @property
     def name(self) -> str:
         """The index name."""
         return self._name
-
-    @property
-    def reverse_ties(self) -> bool:
-        """Whether descending walks preserve insertion order among ties."""
-        return self._reverse_ties
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -155,23 +141,20 @@ class SortedIndex:
             return None
         return tuple(_normalize(part) for part in key)
 
-    def _signed(self, seq: int) -> int:
-        return -seq if self._reverse_ties else seq
-
     def add(self, primary_key: Any, row: Row, seq: int) -> None:
         """Index a newly inserted row (skipped when the key has nulls)."""
         key = self._make_key(row)
         if key is None:
             return
-        insort(self._entries, (key, self._signed(seq), primary_key))
+        insort(self._entries, (key, seq, primary_key))
 
     def remove(self, primary_key: Any, row: Row, seq: int) -> None:
         """Remove a row that is being deleted or replaced."""
         key = self._make_key(row)
         if key is None:
             return
-        probe = (key, self._signed(seq), primary_key)
-        position = bisect_left(self._entries, (key, self._signed(seq)))
+        probe = (key, seq, primary_key)
+        position = bisect_left(self._entries, (key, seq))
         if position < len(self._entries) and self._entries[position] == probe:
             del self._entries[position]
 
@@ -201,11 +184,11 @@ class SortedIndex:
 
     def position_after(self, key: Tuple[Any, ...], seq: int) -> int:
         """First position strictly after the ``(key, seq)`` cursor entry."""
-        return bisect_left(self._entries, (key, self._signed(seq), TOP))
+        return bisect_left(self._entries, (key, seq, TOP))
 
     def position_at(self, key: Tuple[Any, ...], seq: int) -> int:
         """Position of the first entry at or after the ``(key, seq)`` pair."""
-        return bisect_left(self._entries, (key, self._signed(seq)))
+        return bisect_left(self._entries, (key, seq))
 
     def page_entries(
         self,
@@ -307,18 +290,10 @@ class SortedIndex:
         for position in positions:
             yield entries[position][2]
 
-    def min_key(self) -> Optional[Tuple[Any, ...]]:
-        """Smallest key present (None when empty)."""
-        return self._entries[0][0] if self._entries else None
-
-    def max_key(self) -> Optional[Tuple[Any, ...]]:
-        """Largest key present (None when empty)."""
-        return self._entries[-1][0] if self._entries else None
-
     def entry_token_parts(self, entry: Tuple[Any, int, Any]) -> List[Any]:
         """The cursor-token payload for an entry: key components + raw seq."""
-        key, signed_seq, _pk = entry
-        return list(key) + [-signed_seq if self._reverse_ties else signed_seq]
+        key, seq, _pk = entry
+        return list(key) + [seq]
 
 
 class SpatialIndex:

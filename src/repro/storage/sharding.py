@@ -130,11 +130,6 @@ class ShardedDatabase:
         """Number of shards."""
         return self._shards
 
-    @property
-    def shard_key(self) -> str:
-        """The column whose value routes a row to its shard."""
-        return self._shard_key
-
     def shard_of(self, key: str) -> int:
         """The shard owning ``key`` (stable crc32 assignment)."""
         return shard_of(key, self._shards)

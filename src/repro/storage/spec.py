@@ -1,12 +1,11 @@
 """Declarative index specifications for storage tables.
 
-The seed let callers bolt hash indexes onto a live table with
-``create_index`` and left every other access pattern to hand-rolled
-sidecars in the stores (sorted publish lists, grid-index copies of the
-latest positions, parallel dicts).  An :class:`IndexSpec` instead declares
-an index *on the schema*: the table builds it at construction time and
-maintains it on every insert/update/delete, and the query planner can
-route matching queries through it.
+The seed bolted hash indexes onto live tables and left every other
+access pattern to hand-rolled sidecars in the stores (sorted publish
+lists, grid-index copies of the latest positions, parallel dicts).  An
+:class:`IndexSpec` instead declares an index *on the schema*: the table
+builds it at construction time and maintains it on every
+insert/update/delete, and the stores read it directly.
 
 Three kinds are supported, mirroring what the PPHCR stores actually need:
 
@@ -17,10 +16,10 @@ Three kinds are supported, mirroring what the PPHCR stores actually need:
     A bisect-backed ordered index over one or more columns.  Serves range
     queries, ordered iteration in either direction, and keyset cursors
     (:class:`~repro.storage.cursor.Page`).  Entries carry the table's
-    monotonic row sequence as a tiebreak; ``ties`` controls which side of
-    an equal-key run comes first when iterating *descending* (the clip
-    listing walks newest-first but keeps insertion order among clips
-    published at the same instant).
+    monotonic row sequence as a tiebreak, so equal keys keep insertion
+    order on ascending walks (a descending walk reverses them; the clip
+    listing negates its publish sequence in a computed key to keep
+    same-instant clips in insertion order newest-first).
 ``spatial``
     A :class:`~repro.geo.grid_index.GridIndex` over a pair of lat/lon
     columns (or a computed :class:`~repro.geo.point.GeoPoint` key).  Rows
@@ -38,30 +37,19 @@ from repro.errors import SchemaError
 #: Valid values of :attr:`IndexSpec.kind`.
 INDEX_KINDS = ("hash", "sorted", "spatial")
 
-#: Valid values of :attr:`IndexSpec.ties` (sorted indexes only).
-TIE_ORDERS = ("forward", "reverse")
-
 
 @dataclass(frozen=True)
 class IndexSpec:
     """One declarative secondary index on a :class:`~repro.storage.table.Schema`.
 
     ``columns`` names the indexed columns (defaults to ``(name,)``); a
-    ``key`` callable may replace them for computed keys (the legacy
-    ``create_index(key_func=...)`` path).  ``ties`` only applies to sorted
-    indexes and picks which walk direction preserves insertion order among
-    equal keys: ``"forward"`` (the default) preserves it on ascending
-    walks — what a stable ascending sort over a scan produces — while
-    ``"reverse"`` preserves it on *descending* walks (the newest-first
-    clip listing keeps publish-time ties in insertion order).
+    ``key`` callable may replace them for computed keys.
     """
 
     name: str
     kind: str = "hash"
     columns: Tuple[str, ...] = ()
     key: Optional[Callable[[Dict[str, Any]], Any]] = field(default=None, compare=False)
-    #: Sorted indexes: tie order among equal keys (see class docstring).
-    ties: str = "forward"
     #: Spatial indexes: grid cell size in meters.
     cell_size_m: float = 1000.0
 
@@ -71,10 +59,6 @@ class IndexSpec:
         if self.kind not in INDEX_KINDS:
             raise SchemaError(
                 f"index {self.name!r} has unknown kind {self.kind!r}; expected one of {INDEX_KINDS}"
-            )
-        if self.ties not in TIE_ORDERS:
-            raise SchemaError(
-                f"index {self.name!r} has unknown tie order {self.ties!r}; expected one of {TIE_ORDERS}"
             )
         if self.cell_size_m <= 0:
             raise SchemaError(f"index {self.name!r} cell_size_m must be > 0")

@@ -4,8 +4,12 @@ The storage-engine surface of one table:
 
 * **declarative indexes** — :class:`~repro.storage.spec.IndexSpec` entries
   on the :class:`Schema` are built at construction time and maintained on
-  every insert/update/delete (hash, sorted and spatial kinds; the legacy
-  ``create_index`` remains as a dynamic way to add a spec to a live table);
+  every insert/update/delete (hash, sorted and spatial kinds);
+* **direct index reads** — :meth:`Table.find_by_index`,
+  :meth:`Table.find_range`, :meth:`Table.iter_range_keys`,
+  :meth:`Table.find_within` and :meth:`Table.find_in_bbox` are the access
+  paths the stores use, each returning exactly what its :meth:`Table.scan`
+  twin (plus a stable sort, for ordered reads) returns;
 * **keyset cursors** — :meth:`Table.page_by_index` walks a sorted index in
   either direction and returns a :class:`~repro.storage.cursor.Page` whose
   token resumes strictly after the last row served, stable under
@@ -97,11 +101,6 @@ class Schema:
                 for column in spec.effective_columns:
                     self.column(column)  # raises for unknown columns
 
-    @property
-    def column_names(self) -> List[str]:
-        """Names of all columns in definition order."""
-        return [column.name for column in self.columns]
-
     def column(self, name: str) -> Column:
         """Look up a column by name."""
         try:
@@ -182,7 +181,7 @@ def build_index(spec: IndexSpec):
         return HashIndex(spec.name, key_func)
     if spec.kind == "sorted":
         key_func = spec.key if spec.key is not None else _columns_key_func(spec.effective_columns)
-        return SortedIndex(spec.name, key_func, ties=spec.ties)
+        return SortedIndex(spec.name, key_func)
     return SpatialIndex(spec.name, _spatial_key_func(spec), cell_size_m=spec.cell_size_m)
 
 
@@ -190,21 +189,17 @@ class Table:
     """A single in-memory table.
 
     Rows are stored as dictionaries keyed by the primary key.  Secondary
-    indexes are declared on the schema (or added with :meth:`create_index`)
-    and maintained on every mutation.  Returned rows are copies so callers
-    cannot corrupt table state by mutating them.
+    indexes are declared on the schema and maintained on every mutation.
+    Returned rows are copies so callers cannot corrupt table state by
+    mutating them.
     """
-
-    #: Structural, not state: index specs carry key *callables* declared by
-    #: the schema (or create_index) that built this table; snapshot()
-    #: captures rows and restore() re-derives index contents from them.
-    SNAPSHOT_EXEMPT = ("_specs",)
 
     def __init__(self, schema: Schema) -> None:
         self._schema = schema
         self._rows: Dict[Any, Row] = {}
-        self._specs: Dict[str, IndexSpec] = {}
-        self._indexes: Dict[str, Any] = {}
+        self._indexes: Dict[str, Any] = {
+            spec.name: build_index(spec) for spec in schema.indexes
+        }
         #: Monotonic per-row sequence: assigned on insert (and re-assigned on
         #: update), it is the insertion-order tiebreak sorted indexes and
         #: cursor tokens use.
@@ -223,13 +218,9 @@ class Table:
         #: here and are delivered coalesced when the batch closes.
         self._pending_changes: Optional[List[Change]] = None
         #: Telemetry hook: ``(plan, elapsed_s, rows) -> None`` called by
-        #: timed read paths (planner queries, keyset page walks).  ``None``
-        #: keeps those paths on a single attribute check — the disabled
-        #: telemetry budget.
+        #: the timed read path (keyset page walks).  ``None`` keeps that
+        #: path on a single attribute check — the disabled telemetry budget.
         self._query_observer: Optional[Callable[[Dict[str, Any], float, int], None]] = None
-        for spec in schema.indexes:
-            self._specs[spec.name] = spec
-            self._indexes[spec.name] = build_index(spec)
 
     @property
     def schema(self) -> Schema:
@@ -256,66 +247,17 @@ class Table:
     def __contains__(self, key: Any) -> bool:
         return key in self._rows
 
-    @property
-    def query_observer(self) -> Optional[Callable[[Dict[str, Any], float, int], None]]:
-        """The installed query observer (``None`` when telemetry is off)."""
-        return self._query_observer
-
     def set_query_observer(
         self, observer: Optional[Callable[[Dict[str, Any], float, int], None]]
     ) -> None:
         """Install (or clear) the telemetry query observer.
 
         The observer receives ``(plan, elapsed_s, rows)`` for every timed
-        read: planner-routed :class:`~repro.storage.query.Query` terminals
-        (with their :meth:`~repro.storage.query.Query.explain` plan) and
-        :meth:`page_by_index` walks (strategy ``index_page``).
+        read: each :meth:`page_by_index` walk, with strategy ``index_page``.
         """
         self._query_observer = observer
 
     # Index management -----------------------------------------------------
-
-    def create_index(
-        self,
-        name: str,
-        key_func: Optional[Callable[[Row], Any]] = None,
-        *,
-        kind: str = "hash",
-        columns: Tuple[str, ...] = (),
-        ties: str = "forward",
-        cell_size_m: float = 1000.0,
-    ) -> None:
-        """Add an index to a live table (existing rows are indexed).
-
-        The declarative path is an :class:`IndexSpec` on the schema; this
-        keeps the seed's dynamic API working and now accepts every index
-        kind.  Without ``key_func`` or ``columns`` the index is on the
-        column named ``name``.
-        """
-        if name in self._indexes:
-            raise DuplicateError(f"index {name!r} already exists on table {self.name!r}")
-        spec = IndexSpec(
-            name, kind=kind, columns=columns, key=key_func, ties=ties, cell_size_m=cell_size_m
-        )
-        if spec.key is None:
-            for column in spec.effective_columns:
-                self._schema.column(column)  # validates the column exists
-        index = build_index(spec)
-        for primary_key, row in self._rows.items():
-            index.add(primary_key, row, self._seqs[primary_key])
-        self._specs[name] = spec
-        self._indexes[name] = index
-
-    def index_names(self) -> List[str]:
-        """Names of all indexes."""
-        return sorted(self._indexes.keys())
-
-    def index_spec(self, name: str) -> IndexSpec:
-        """The spec an index was declared with."""
-        spec = self._specs.get(name)
-        if spec is None:
-            raise NotFoundError(f"table {self.name!r} has no index {name!r}")
-        return spec
 
     def _index(self, name: str):
         index = self._indexes.get(name)
@@ -338,25 +280,6 @@ class Table:
     def spatial_index(self, name: str) -> SpatialIndex:
         """A spatial index by name (validated kind)."""
         return self._typed_index(name, "spatial")
-
-    def planner_index_for(self, *, kind: str, columns: Tuple[str, ...]):
-        """The first index of ``kind`` declared exactly on ``columns``.
-
-        Computed-key indexes are never planner-eligible: the planner can
-        only prove a column predicate matches an index that was declared on
-        those columns.  Reverse-tie sorted indexes are skipped too — their
-        equal-key ordering is a listing convention, not the stable-sort
-        order a scan produces, and planner results must match the scan
-        exactly.
-        """
-        for name, spec in self._specs.items():
-            if spec.kind != kind or spec.key is not None:
-                continue
-            if kind == "sorted" and spec.ties != "forward":
-                continue
-            if spec.effective_columns == columns:
-                return self._indexes[name]
-        return None
 
     # Mutation -------------------------------------------------------------
 
@@ -500,13 +423,6 @@ class Table:
         """All primary keys."""
         return list(self._rows.keys())
 
-    def seq_of(self, key: Any) -> int:
-        """The row sequence of a primary key (insertion-order tiebreak)."""
-        seq = self._seqs.get(key)
-        if seq is None:
-            raise NotFoundError(f"table {self.name!r} has no row with key {key!r}")
-        return seq
-
     def find_by_index(self, index_name: str, value: Any) -> List[Row]:
         """All rows whose index key equals ``value`` (row order).
 
@@ -594,18 +510,13 @@ class Table:
         return [dict(self._rows[pk]) for pk in index.in_bbox(box)]
 
     def scan(self, predicate: Callable[[Row], bool]) -> List[Row]:
-        """Full scan returning copies of matching rows."""
-        self._stats["scans"] += 1
-        return [dict(row) for row in self._rows.values() if predicate(row)]
+        """Full scan returning copies of matching rows (insertion order).
 
-    def scan_iter(self) -> Iterator[Row]:
-        """Lazily iterate row copies, counted as one scan.
-
-        The planner's fallback path — laziness lets short-circuiting
-        terminals (``exists``) stop at the first match.
+        The reference path: every index read above returns what this scan
+        (plus a stable sort, for ordered reads) returns.
         """
         self._stats["scans"] += 1
-        return self.rows()
+        return [dict(row) for row in self._rows.values() if predicate(row)]
 
     def count(self, predicate: Optional[Callable[[Row], bool]] = None) -> int:
         """Number of rows (optionally matching a predicate)."""

@@ -1139,7 +1139,6 @@ class TestErrorTaxonomyWire:
 
     EXPECTED = {
         errors.ValidationError: 400,
-        errors.QueryError: 400,
         errors.GeometryError: 400,
         errors.NotFoundError: 404,
         errors.DuplicateError: 409,

@@ -147,10 +147,6 @@ class TestContentRepository:
         # Ordered by recency, newest first.
         assert recent[0].clip_id == "clip-2"
 
-    def test_clips_max_duration(self):
-        repo = self.build()
-        assert {c.clip_id for c in repo.clips_max_duration(250.0)} == {"clip-0"}
-
     def test_replace_clip_updates_index(self):
         repo = self.build()
         original = repo.clip("clip-0")

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DuplicateError, NotFoundError, QueryError, SchemaError
-from repro.storage import Column, Database, Query, Schema, Table
+from repro.errors import DuplicateError, NotFoundError, SchemaError
+from repro.storage import Column, Database, IndexSpec, Schema, Table
 
 
-def make_schema(name="people"):
+def make_schema(name="people", indexes=()):
     return Schema(
         name=name,
         primary_key="person_id",
@@ -18,7 +18,12 @@ def make_schema(name="people"):
             Column("city", str, nullable=True),
             Column("score", float, has_default=True, default=0.0),
         ],
+        indexes=list(indexes),
     )
+
+
+def city_table():
+    return Table(make_schema(indexes=[IndexSpec("city")]))
 
 
 class TestSchema:
@@ -119,8 +124,7 @@ class TestTable:
             table.delete("p1")
 
     def test_secondary_index_lookup(self):
-        table = Table(make_schema())
-        table.create_index("city")
+        table = city_table()
         table.insert({"person_id": "p1", "age": 30, "city": "torino"})
         table.insert({"person_id": "p2", "age": 40, "city": "milano"})
         table.insert({"person_id": "p3", "age": 50, "city": "torino"})
@@ -128,8 +132,7 @@ class TestTable:
         assert {row["person_id"] for row in rows} == {"p1", "p3"}
 
     def test_index_maintained_on_update_and_delete(self):
-        table = Table(make_schema())
-        table.create_index("city")
+        table = city_table()
         table.insert({"person_id": "p1", "age": 30, "city": "torino"})
         table.update("p1", {"city": "milano"})
         assert table.find_by_index("city", "torino") == []
@@ -138,24 +141,25 @@ class TestTable:
         assert table.find_by_index("city", "milano") == []
 
     def test_index_on_existing_rows(self):
-        table = Table(make_schema())
-        table.insert({"person_id": "p1", "age": 30, "city": "torino"})
-        table.create_index("city")
+        # Rows loaded by a restore (the snapshot path) are indexed too.
+        rows = Table(make_schema())
+        rows.insert({"person_id": "p1", "age": 30, "city": "torino"})
+        table = city_table()
+        table.restore(rows.snapshot())
         assert len(table.find_by_index("city", "torino")) == 1
 
     def test_duplicate_index_rejected(self):
-        table = Table(make_schema())
-        table.create_index("city")
-        with pytest.raises(DuplicateError):
-            table.create_index("city")
+        with pytest.raises(SchemaError):
+            make_schema(indexes=[IndexSpec("city"), IndexSpec("city")])
 
     def test_unknown_index_lookup(self):
         with pytest.raises(NotFoundError):
             Table(make_schema()).find_by_index("city", "x")
 
     def test_computed_index(self):
-        table = Table(make_schema())
-        table.create_index("age_bucket", key_func=lambda row: row["age"] // 10)
+        table = Table(
+            make_schema(indexes=[IndexSpec("age_bucket", key=lambda row: row["age"] // 10)])
+        )
         table.insert({"person_id": "p1", "age": 34})
         table.insert({"person_id": "p2", "age": 37})
         assert len(table.find_by_index("age_bucket", 3)) == 2
@@ -169,73 +173,11 @@ class TestTable:
         assert len(table.scan(lambda row: row["age"] < 22)) == 2
 
     def test_clear(self):
-        table = Table(make_schema())
-        table.create_index("city")
+        table = city_table()
         table.insert({"person_id": "p1", "age": 30, "city": "torino"})
         table.clear()
         assert len(table) == 0
         assert table.find_by_index("city", "torino") == []
-
-
-class TestQuery:
-    def build_table(self):
-        table = Table(make_schema())
-        rows = [
-            ("p1", 25, "torino", 0.5),
-            ("p2", 35, "milano", 0.9),
-            ("p3", 45, "torino", 0.1),
-            ("p4", 55, "roma", 0.7),
-        ]
-        for person_id, age, city, score in rows:
-            table.insert({"person_id": person_id, "age": age, "city": city, "score": score})
-        return table
-
-    def test_where_eq(self):
-        rows = Query(self.build_table()).where_eq("city", "torino").all()
-        assert {row["person_id"] for row in rows} == {"p1", "p3"}
-
-    def test_where_predicate_and_order(self):
-        rows = (
-            Query(self.build_table())
-            .where(lambda row: row["age"] > 30)
-            .order_by("age", descending=True)
-            .all()
-        )
-        assert [row["person_id"] for row in rows] == ["p4", "p3", "p2"]
-
-    def test_where_in(self):
-        rows = Query(self.build_table()).where_in("city", ["roma", "milano"]).all()
-        assert {row["person_id"] for row in rows} == {"p2", "p4"}
-
-    def test_limit_and_select(self):
-        rows = Query(self.build_table()).order_by("age").limit(2).select("person_id").all()
-        assert rows == [{"person_id": "p1"}, {"person_id": "p2"}]
-
-    def test_limit_negative(self):
-        with pytest.raises(QueryError):
-            Query(self.build_table()).limit(-1)
-
-    def test_first_and_exists(self):
-        query = Query(self.build_table()).where_eq("city", "roma")
-        assert query.exists()
-        assert query.first()["person_id"] == "p4"
-        assert Query(self.build_table()).where_eq("city", "napoli").first() is None
-
-    def test_count_sum_avg(self):
-        table = self.build_table()
-        assert Query(table).count() == 4
-        assert Query(table).sum("age") == 160
-        assert Query(table).where_eq("city", "torino").avg("age") == 35.0
-        assert Query(table).where_eq("city", "napoli").avg("age") is None
-
-    def test_group_by(self):
-        groups = Query(self.build_table()).group_by("city")
-        assert set(groups) == {"torino", "milano", "roma"}
-        assert len(groups["torino"]) == 2
-
-    def test_unknown_column_rejected(self):
-        with pytest.raises(SchemaError):
-            Query(self.build_table()).where_eq("nope", 1)
 
 
 class TestDatabase:
@@ -268,7 +210,7 @@ class TestDatabase:
         db.create_table(make_schema())
         db.table("people").insert({"person_id": "p1", "age": 20})
         assert db.total_rows() == 1
-        assert db.query("people").count() == 1
+        assert db.table("people").count() == 1
         assert db.table_names() == ["people"]
 
 

@@ -1,16 +1,17 @@
-"""Tests for the storage engine: declarative indexes, planner, cursors.
+"""Tests for the storage engine: declarative indexes, direct reads, cursors.
 
 The load-bearing properties:
 
-* **planner/scan parity** — on randomized workloads, every query served
-  through an index returns exactly what its ``scan_only()`` twin returns
-  (same rows, same order);
+* **index/scan parity** — on a table churned by seeded inserts, updates
+  and deletes, every read shape a store makes returns exactly what its
+  scan twin (``Table.scan`` plus a stable sort) returns: same rows, same
+  order;
 * **cursor stability** — keyset pages never duplicate or skip rows while
   rows are inserted between pages;
 * **unit of work** — change listeners see per-write batches normally and
   one coalesced batch per table inside ``Database.batch()``;
 * **snapshot/restore** — a database round-trips through its versioned
-  JSON payload with indexes rebuilt and queries intact.
+  JSON payload with indexes rebuilt and index reads intact.
 """
 
 from __future__ import annotations
@@ -19,14 +20,8 @@ import json
 
 import pytest
 
-from repro.errors import (
-    DuplicateError,
-    NotFoundError,
-    QueryError,
-    SchemaError,
-    ValidationError,
-)
-from repro.geo import BoundingBox, GeoPoint
+from repro.errors import DuplicateError, SchemaError, ValidationError
+from repro.geo import BoundingBox, GeoPoint, haversine_m
 from repro.storage import Column, Database, IndexSpec, Page, Schema, Table
 
 
@@ -42,6 +37,7 @@ def events_schema(indexes=None):
             Column("value", float, has_default=True, default=0.0),
             Column("lat", float, nullable=True),
             Column("lon", float, nullable=True),
+            Column("seq", int, has_default=True, default=0),
         ],
         indexes=list(indexes) if indexes is not None else [],
     )
@@ -91,148 +87,201 @@ class TestIndexSpecs:
         with pytest.raises(SchemaError):
             Table(events_schema([IndexSpec("kind"), IndexSpec("kind")]))
 
-    def test_dynamic_create_index_all_kinds(self, seeded_rng):
-        table = fill(Table(events_schema()), seeded_rng.fork("fill"), 60)
-        table.create_index("kind")
-        table.create_index("by_time", kind="sorted", columns=("timestamp_s",))
-        table.create_index("geo", kind="spatial", columns=("lat", "lon"))
-        assert table.find_by_index("kind", "ping")
-        assert len(list(table.rows_in_index_order("by_time"))) == 60
-        with pytest.raises(DuplicateError):
-            table.create_index("kind")
+
+#: The clip listing's computed newest-first key: publish time, then the
+#: negated first-insert sequence, so a descending walk keeps same-instant
+#: rows in insertion order (``ContentRepository.iter_newest_first``).
+NEWEST = IndexSpec(
+    "newest",
+    kind="sorted",
+    columns=("timestamp_s", "seq"),
+    key=lambda row: (row["timestamp_s"], -row["seq"]),
+)
+
+KINDS = ("ping", "skip", "like")
+USERS = tuple(f"u{i:02d}" for i in range(12))
 
 
-class TestPlannerScanParity:
-    """Every indexed strategy must match the predicate-only scan exactly."""
+def random_cells(rng):
+    """Every non-key column, drawn from few values so equal keys recur."""
+    return {
+        "user_id": rng.choice(USERS),
+        "kind": rng.choice(KINDS),
+        "timestamp_s": float(rng.randint(0, 49)),
+        "value": rng.random(),
+        "lat": None if rng.random() < 0.3 else 45.0 + rng.random() * 0.05,
+        "lon": 7.6 + rng.random() * 0.05,
+    }
+
+
+def churn(table, rng, steps, first_seq=0):
+    """Seeded inserts, updates and deletes; returns the next free ``seq``.
+
+    ``seq`` is set once per row on insert and kept by updates, like the
+    content repository's publish-tie column.
+    """
+    next_seq = first_seq
+    for _ in range(steps):
+        keys = table.keys()
+        roll = rng.random()
+        if keys and roll < 0.15:
+            table.delete(rng.choice(keys))
+        elif keys and roll < 0.4:
+            table.update(rng.choice(keys), random_cells(rng))
+        else:
+            row = random_cells(rng)
+            row.update(event_id=f"e{next_seq:04d}", seq=next_seq)
+            table.insert(row)
+            next_seq += 1
+    return next_seq
+
+
+def ids(rows):
+    return [row["event_id"] for row in rows]
+
+
+def scan_sorted(table, predicate, key):
+    """The scan twin: matching rows in row order, then one stable sort."""
+    return sorted(table.scan(predicate), key=key)
+
+
+def walk(table, index_name, *, limit, descending=False, **bounds):
+    """Every row of a keyset walk, page after page."""
+    rows, token = [], None
+    while True:
+        page = table.page_by_index(
+            index_name, limit=limit, after_token=token, descending=descending, **bounds
+        )
+        rows.extend(page.items)
+        token = page.next_token
+        if token is None:
+            return rows
+
+
+def check_equality_reads(table):
+    for kind in KINDS:
+        assert table.find_by_index("kind", kind) == table.scan(lambda r: r["kind"] == kind)
+    for user in USERS:
+        assert table.find_by_index("user_id", user) == table.scan(lambda r: r["user_id"] == user)
+    for t in range(50):
+        expected = table.scan(lambda r: r["timestamp_s"] == t)
+        assert table.find_by_index("timestamp_s", float(t)) == expected
+
+
+def check_user_prefix_ranges(table):
+    for user in USERS:
+        expected = scan_sorted(table, lambda r: r["user_id"] == user, lambda r: r["timestamp_s"])
+        rows = table.find_range("user_time", low=(user,), high=(user,), high_inclusive=True)
+        assert rows == expected
+
+
+def newest_first_twin(table, cutoff_s=None):
+    rows = table.scan(lambda r: cutoff_s is None or r["timestamp_s"] >= cutoff_s)
+    rows.sort(key=lambda r: r["seq"])  # insertion order, kept across updates
+    rows.sort(key=lambda r: r["timestamp_s"], reverse=True)
+    return ids(rows)
+
+
+def check_newest_first_walks(table, rng):
+    for cutoff_s in [None] + [float(rng.randint(0, 52)) for _ in range(8)]:
+        keys = list(table.iter_range_keys("newest", low=cutoff_s, descending=True))
+        assert keys == newest_first_twin(table, cutoff_s)
+
+
+def check_page_walks(table, rng):
+    by_time = ids(scan_sorted(table, lambda r: True, lambda r: r["timestamp_s"]))
+    for limit in (1, rng.randint(2, 9), 200):
+        assert ids(walk(table, "timestamp_s", limit=limit)) == by_time
+        # A descending walk reverses the ascending one, ties included.
+        assert ids(walk(table, "timestamp_s", limit=limit, descending=True)) == by_time[::-1]
+        assert ids(walk(table, "newest", limit=limit, descending=True)) == newest_first_twin(table)
+    for user in rng.sample(USERS, 3):
+        history = ids(
+            scan_sorted(table, lambda r: r["user_id"] == user, lambda r: r["timestamp_s"])
+        )
+        bounds = dict(low=(user,), high=(user,), high_inclusive=True)
+        assert ids(walk(table, "user_time", limit=4, **bounds)) == history
+        assert ids(walk(table, "user_time", limit=4, descending=True, **bounds)) == history[::-1]
+
+
+def check_spatial_reads(table, rng):
+    for _ in range(12):
+        center = GeoPoint(45.0 + rng.random() * 0.05, 7.6 + rng.random() * 0.05)
+        radius_m = rng.choice([0.0, 150.0, 900.0, 5000.0])
+
+        def near(row):
+            return row["lat"] is not None and haversine_m(center, position(row)) <= radius_m
+
+        expected = [
+            (row["event_id"], haversine_m(center, position(row)))
+            for row in sorted(table.scan(near), key=lambda r: haversine_m(center, position(r)))
+        ]
+        hits = table.find_within("geo", center, radius_m)
+        assert [(row["event_id"], distance) for row, distance in hits] == expected
+
+        low_lat, low_lon = 45.0 + rng.random() * 0.04, 7.6 + rng.random() * 0.04
+        box = BoundingBox(
+            min_lat=low_lat, min_lon=low_lon, max_lat=low_lat + 0.01, max_lon=low_lon + 0.02
+        )
+        inside = table.scan(lambda r: r["lat"] is not None and box.contains(position(r)))
+        # A box read comes back in grid-cell order, which no caller relies on.
+        assert sorted(ids(table.find_in_bbox("geo", box))) == sorted(ids(inside))
+
+
+def position(row):
+    return GeoPoint(row["lat"], row["lon"])
+
+
+class TestDirectReadScanParity:
+    """Every read shape a store makes equals its scan twin: same rows, same order.
+
+    The twin is :meth:`Table.scan` plus a stable sort.  The table is
+    churned by seeded inserts, updates and deletes first, so index
+    maintenance under mutation is checked along with the reads.
+    """
 
     @pytest.fixture
     def table(self, seeded_rng):
-        return fill(Table(events_schema(INDEXED)), seeded_rng.fork("fill"), 500)
+        table = Table(events_schema(INDEXED + [NEWEST]))
+        churn(table, seeded_rng.fork("churn"), 700)
+        return table
 
-    def pair(self, table):
-        db = Database("d")
-        db._tables["events"] = table  # reuse the filled table in both paths
-        return db.query("events"), db.query("events").scan_only()
+    def test_hash_and_sorted_equality_reads(self, table):
+        check_equality_reads(table)
 
-    def test_eq_uses_index_and_matches(self, table):
-        fast, slow = self.pair(table)
-        fast, slow = fast.where_eq("kind", "skip"), slow.where_eq("kind", "skip")
-        assert fast.explain()["strategy"] == "index_eq"
-        assert slow.explain()["strategy"] == "scan"
-        assert fast.all() == slow.all()
+    def test_user_prefix_range_is_the_history(self, table):
+        check_user_prefix_ranges(table)
 
-    def test_in_uses_index_and_matches(self, table):
-        fast, slow = self.pair(table)
-        fast = fast.where_in("user_id", ["u01", "u05", "u09"])
-        slow = slow.where_in("user_id", ["u01", "u05", "u09"])
-        assert fast.explain()["strategy"] == "index_in"
-        assert fast.all() == slow.all()
+    def test_newest_first_walk_from_a_cutoff(self, table, seeded_rng):
+        check_newest_first_walks(table, seeded_rng.fork("cutoffs"))
 
-    def test_range_uses_index_and_matches(self, table):
-        fast, slow = self.pair(table)
-        fast = fast.where_range("timestamp_s", 10.0, 30.0).order_by("timestamp_s")
-        slow = slow.where_range("timestamp_s", 10.0, 30.0).order_by("timestamp_s")
-        assert fast.explain()["strategy"] == "index_range"
-        assert fast.all() == slow.all()
+    def test_whole_page_walks_in_both_directions(self, table, seeded_rng):
+        check_page_walks(table, seeded_rng.fork("walks"))
 
-    def test_order_by_walks_index_with_early_limit(self, table):
-        fast, slow = self.pair(table)
-        fast = fast.order_by("timestamp_s").limit(17)
-        slow = slow.order_by("timestamp_s").limit(17)
-        assert fast.explain()["strategy"] == "index_order"
-        assert fast.all() == slow.all()
+    def test_spatial_reads_match_distance_and_box_scans(self, table, seeded_rng):
+        check_spatial_reads(table, seeded_rng.fork("spatial"))
 
-    def test_descending_order_falls_back_to_scan_strategy(self, table):
-        fast, _ = self.pair(table)
-        fast = fast.order_by("timestamp_s", descending=True)
-        assert fast.explain()["strategy"] == "scan"
+    def test_every_read_holds_through_interleaved_churn(self, seeded_rng):
+        rng = seeded_rng.fork("rounds")
+        table = Table(events_schema(INDEXED + [NEWEST]))
+        next_seq = 0
+        for _ in range(6):
+            next_seq = churn(table, rng, 120, next_seq)
+            check_equality_reads(table)
+            check_user_prefix_ranges(table)
+            check_newest_first_walks(table, rng)
+            check_page_walks(table, rng)
+            check_spatial_reads(table, rng)
 
-    def test_randomized_workload_parity(self, table, seeded_rng):
-        rng = seeded_rng.fork("workload")
-        kinds = ["ping", "skip", "like"]
-        for _ in range(120):
-            db = Database("d")
-            db._tables["events"] = table
-            fast, slow = db.query("events"), db.query("events").scan_only()
-            if rng.random() < 0.5:
-                kind = rng.choice(kinds)
-                fast, slow = fast.where_eq("kind", kind), slow.where_eq("kind", kind)
-            if rng.random() < 0.5:
-                lo = float(rng.randint(0, 39))
-                hi = lo + rng.randint(1, 14)
-                fast = fast.where_range("timestamp_s", lo, hi)
-                slow = slow.where_range("timestamp_s", lo, hi)
-            if rng.random() < 0.4:
-                user = f"u{rng.randint(0, 11):02d}"
-                fast, slow = fast.where_eq("user_id", user), slow.where_eq("user_id", user)
-            if rng.random() < 0.5:
-                fast = fast.order_by("timestamp_s")
-                slow = slow.order_by("timestamp_s")
-                if rng.random() < 0.5:
-                    n = rng.randint(1, 29)
-                    fast, slow = fast.limit(n), slow.limit(n)
-            assert fast.all() == slow.all()
-
-    def test_residual_predicates_applied_on_index_path(self, table):
-        db = Database("d")
-        db._tables["events"] = table
-        fast = db.query("events").where_eq("kind", "like").where(lambda r: r["value"] > 0.5)
-        slow = (
-            db.query("events").scan_only().where_eq("kind", "like").where(lambda r: r["value"] > 0.5)
-        )
-        plan = fast.explain()
-        assert plan["strategy"] == "index_eq" and plan["post_filters"] == 1
-        assert fast.all() == slow.all()
-
-    def test_stats_record_hits_and_scans(self, seeded_rng):
-        table = fill(Table(events_schema(INDEXED)), seeded_rng.fork("fill"), 50)
-        db = Database("d")
-        db._tables["events"] = table
+    def test_stats_count_index_reads_and_scans(self, table):
         before = table.stats()
-        db.query("events").where_eq("kind", "ping").all()
-        db.query("events").scan_only().where_eq("kind", "ping").all()
+        table.find_by_index("kind", "ping")
+        table.find_range("user_time", low=("u01",), high=("u01",), high_inclusive=True)
+        table.scan(lambda r: r["kind"] == "ping")
+        table.count(lambda r: r["kind"] == "ping")
         after = table.stats()
-        assert after["index_hits"] == before["index_hits"] + 1
-        assert after["scans"] == before["scans"] + 1
-
-    def test_where_range_requires_a_bound(self, table):
-        db = Database("d")
-        db._tables["events"] = table
-        with pytest.raises(QueryError):
-            db.query("events").where_range("timestamp_s")
-
-    def test_aggregates_ignore_limit_on_both_paths(self, table):
-        db = Database("d")
-        db._tables["events"] = table
-        fast = db.query("events").order_by("timestamp_s").limit(3).sum("value")
-        slow = db.query("events").scan_only().order_by("timestamp_s").limit(3).sum("value")
-        full = db.query("events").scan_only().sum("value")
-        assert fast == slow == full
-
-    def test_index_order_refused_when_nulls_leave_index_partial(self):
-        schema = events_schema(
-            [IndexSpec("maybe", kind="sorted", columns=("lat",))]  # lat is nullable
-        )
-        table = Table(schema)
-        table.insert({"event_id": "a", "user_id": "u", "kind": "p", "timestamp_s": 1.0, "lat": 45.0, "lon": 7.0})
-        table.insert({"event_id": "b", "user_id": "u", "kind": "p", "timestamp_s": 2.0})
-        db = Database("d")
-        db._tables["events"] = table
-        query = db.query("events").order_by("lat")
-        # A partial index must never serve an ordered walk — the null row
-        # would silently vanish from the results.
-        assert query.explain()["strategy"] == "scan"
-
-    def test_range_predicates_exclude_nulls_on_both_paths(self):
-        table = Table(events_schema(INDEXED))
-        table.insert({"event_id": "a", "user_id": "u", "kind": "p", "timestamp_s": 5.0, "lat": 1.0, "lon": 1.0})
-        table.insert({"event_id": "b", "user_id": "u", "kind": "p", "timestamp_s": 6.0})
-        db = Database("d")
-        db._tables["events"] = table
-        fast = db.query("events").where_range("lat", 0.0, 10.0).all()
-        slow = db.query("events").scan_only().where_range("lat", 0.0, 10.0).all()
-        assert fast == slow
-        assert [row["event_id"] for row in fast] == ["a"]
+        assert after["index_hits"] == before["index_hits"] + 2
+        assert after["scans"] == before["scans"] + 2
 
 
 class TestSortedIndexMaintenance:
@@ -282,28 +331,17 @@ class TestKeysetCursors:
             )
         return table
 
-    def walk(self, table, *, limit, descending=False):
-        seen, token = [], None
-        while True:
-            page = table.page_by_index(
-                "timestamp_s", limit=limit, after_token=token, descending=descending
-            )
-            seen.extend(row["event_id"] for row in page.items)
-            token = page.next_token
-            if token is None:
-                return seen
-
     def test_full_walk_matches_index_order(self):
         table = self.make_table()
-        assert self.walk(table, limit=7) == [
-            row["event_id"] for row in table.rows_in_index_order("timestamp_s")
-        ]
+        assert ids(walk(table, "timestamp_s", limit=7)) == ids(
+            table.rows_in_index_order("timestamp_s")
+        )
 
     def test_descending_walk(self):
         table = self.make_table()
-        assert self.walk(table, limit=7, descending=True) == [
-            row["event_id"] for row in table.rows_in_index_order("timestamp_s", descending=True)
-        ]
+        assert ids(walk(table, "timestamp_s", limit=7, descending=True)) == ids(
+            table.rows_in_index_order("timestamp_s", descending=True)
+        )
 
     def test_stable_under_interleaved_inserts(self):
         table = self.make_table(30)
@@ -438,14 +476,14 @@ class TestSnapshotRestore:
         db = Database("d")
         table = db.create_table(events_schema(INDEXED))
         fill(table, seeded_rng.fork("fill"), 120)
-        reference_eq = db.query("events").where_eq("kind", "like").all()
+        reference_eq = table.find_by_index("kind", "like")
         reference_order = list(table.rows_in_index_order("timestamp_s"))
         payload = json.loads(json.dumps(db.snapshot()))
 
         db2 = Database("d")
         table2 = db2.create_table(events_schema(INDEXED))
         db2.restore(payload)
-        assert db2.query("events").where_eq("kind", "like").all() == reference_eq
+        assert table2.find_by_index("kind", "like") == reference_eq
         assert list(table2.rows_in_index_order("timestamp_s")) == reference_order
         assert len(table2) == 120
 

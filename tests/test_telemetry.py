@@ -36,12 +36,14 @@ from repro.obs import (
     Tracer,
 )
 from repro.pipeline import Gateway
+from repro.pipeline.gateway.gateway import DEFAULT_PAGE_LIMIT, MAX_PAGE_LIMIT
 from repro.pipeline.messaging import MessageBus
 from repro.pipeline.server import PphcrServer, ServerConfig
 from repro.spatialdb import GpsFix
 from repro.geo import GeoPoint
 from repro.geo.geodesy import destination_point
 from repro.client.dashboard import ControlDashboard
+from repro.content import AudioClip, ContentKind
 from repro.storage import DurabilityConfig, ShardingConfig
 from repro.storage.wal import log_paths, scan_frames
 from repro.users.profile import UserProfile
@@ -296,8 +298,25 @@ def test_slow_queries_surface_in_ops_traces_with_shard_and_plan():
         telemetry=TelemetryConfig(slow_query_threshold_s=0.0)
     )
     _drive_mixed_workload(gateway)
-    # One planner query through the metadata database as well.
-    server.content.clips_max_duration(600.0)
+    # A cursor walk of the clip listing reads the metadata database too.
+    for index in range(5):
+        server.content.add_clip(
+            AudioClip(
+                clip_id=f"clip-{index}",
+                title=f"Clip {index}",
+                kind=ContentKind.PODCAST,
+                duration_s=60.0,
+                published_s=float(index),
+            )
+        )
+    query = {"limit": "2"}
+    while True:
+        status, body, _ = gateway.handle_wire("GET", "/v1/clips", query=query)
+        assert status == 200
+        cursor = json.loads(body)["next_cursor"]
+        if cursor is None:
+            break
+        query = {"limit": "2", "cursor": cursor}
     status, body, _ = gateway.handle_wire(
         "GET", "/v1/ops/traces", query={"limit": "200"}
     )
@@ -316,9 +335,12 @@ def test_slow_queries_surface_in_ops_traces_with_shard_and_plan():
     assert sharded[0]["plan"]["strategy"] == "index_page"
     assert sharded[0]["table"] == "feedback"
     assert sharded[0]["elapsed_ms"] >= 0.0
-    # The planner query reports its full explain() plan.
-    planner = [entry for entry in slow if entry["database"] == "metadata"]
-    assert planner and "strategy" in planner[0]["plan"]
+    # So is each page of the clip listing, on the unsharded metadata DB.
+    listing = [entry for entry in slow if entry["database"] == "metadata"]
+    assert len(listing) == 3
+    assert all(entry["shard"] is None for entry in listing)
+    assert all(entry["table"] == "clips" for entry in listing)
+    assert all(entry["plan"]["strategy"] == "index_page" for entry in listing)
     # Slow queries inside a request also mark the request trace slow, with
     # the plan attached to the storage.query span.
     slow_traces = payload["slow"]
@@ -340,6 +362,28 @@ def test_ops_traces_validates_limit():
     assert status == 400
     status, _, _ = gateway.handle_wire("GET", "/v1/ops/traces", query={"limit": "0"})
     assert status == 400
+
+
+def test_ops_traces_limit_parses_like_a_page_limit_but_is_uncapped():
+    server, gateway = _telemetry_server(
+        telemetry=TelemetryConfig(slow_query_threshold_s=0.0)
+    )
+    # The same parser answers both routes, with the same messages.
+    for raw in ("x", "0", "-3", "1.5"):
+        page = gateway.handle_wire("GET", "/v1/users", query={"limit": raw})
+        ops = gateway.handle_wire("GET", "/v1/ops/traces", query={"limit": raw})
+        assert page[0] == ops[0] == 400
+        assert json.loads(page[1])["error"] == json.loads(ops[1])["error"]
+    # Every read is slow at a zero threshold: fill the log past a page's cap.
+    for _ in range(130):
+        for index in (0, 1):
+            gateway.handle_wire("GET", f"/v1/users/user-{index:03d}/feedback")
+    assert server.telemetry.slow_queries.recorded > MAX_PAGE_LIMIT
+    status, body, _ = gateway.handle_wire("GET", "/v1/ops/traces", query={"limit": "256"})
+    assert status == 200
+    assert len(json.loads(body)["slow_queries"]) > MAX_PAGE_LIMIT
+    status, body, _ = gateway.handle_wire("GET", "/v1/ops/traces")
+    assert len(json.loads(body)["slow_queries"]) == DEFAULT_PAGE_LIMIT
 
 
 def test_storage_and_worker_collectors_populate_gauges():
