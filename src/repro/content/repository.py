@@ -41,7 +41,6 @@ class ContentRepository:
                 columns=[
                     Column("clip_id", str),
                     Column("kind", str),
-                    Column("duration_s", float),
                     Column("primary_category", str, nullable=True),
                     Column("published_s", float, has_default=True, default=0.0),
                     Column("seq", int),
@@ -249,7 +248,6 @@ class ContentRepository:
         return {
             "clip_id": clip.clip_id,
             "kind": clip.kind.value,
-            "duration_s": clip.duration_s,
             "primary_category": clip.primary_category,
             "published_s": clip.published_s,
             "seq": seq,
@@ -270,10 +268,9 @@ class ContentRepository:
     def add_clips(self, clips: Iterable[AudioClip]) -> int:
         """Register many clips; returns how many were added."""
         count = 0
-        with self._db.batch():
-            for clip in clips:
-                self.add_clip(clip)
-                count += 1
+        for clip in clips:
+            self.add_clip(clip)
+            count += 1
         return count
 
     def replace_clip(self, clip: AudioClip) -> None:
@@ -491,8 +488,7 @@ class ContentRepository:
         for service_id, entries in payload.get("schedules", {}).items():
             for programme_id, start_s, end_s in entries:
                 self.schedule_programme(programme_id, TimeWindow(start_s, end_s))
-        with self._db.batch():
-            for raw in payload.get("clips", []):
-                self.add_clip(self._clip_from_payload(raw))
+        for raw in payload.get("clips", []):
+            self.add_clip(self._clip_from_payload(raw))
         self._clips_table.bump_version_to(payload.get("clips_version", 0))
         self._services_table.bump_version_to(payload.get("services_version", 0))

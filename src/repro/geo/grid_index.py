@@ -151,6 +151,21 @@ class GridIndex(Generic[T]):
         lat_cells, lon_cells = extents
         center_cell = self._cell_of(center)
         results: List[Tuple[T, float]] = []
+        if (2 * lat_cells + 1) * (2 * lon_cells + 1) > len(self._cells):
+            # Fewer occupied cells than window cells: visit only the occupied
+            # cells inside the window, in the (lat, lon) order the window
+            # walk below meets them, so equal distances come back alike.
+            for cell in sorted(
+                cell
+                for cell in self._cells
+                if abs(cell[0] - center_cell[0]) <= lat_cells
+                and abs(cell[1] - center_cell[1]) <= lon_cells
+            ):
+                for item in self._cells[cell]:
+                    distance = haversine_m(center, self._positions[item])
+                    if distance <= radius_m:
+                        results.append((item, distance))
+            return results
         for d_lat in range(-lat_cells, lat_cells + 1):
             for d_lon in range(-lon_cells, lon_cells + 1):
                 cell = (center_cell[0] + d_lat, center_cell[1] + d_lon)

@@ -595,14 +595,14 @@ class Gateway:
                 "user_id": user_id,
                 "events": [
                     {
-                        "event_id": event.event_id,
-                        "content_id": event.content_id,
-                        "kind": event.kind.value,
-                        "timestamp_s": event.timestamp_s,
-                        "listened_s": event.listened_s,
-                        "is_clip": event.is_clip,
+                        "event_id": row["event_id"],
+                        "content_id": row["content_id"],
+                        "kind": row["kind"],
+                        "timestamp_s": row["timestamp_s"],
+                        "listened_s": row["listened_s"],
+                        "is_clip": row["is_clip"],
                     }
-                    for event in page.items
+                    for row in page.items
                 ],
                 "next_cursor": page.next_token,
             },

@@ -12,9 +12,10 @@ reproduction:
   ``find_within``), each read equal to its full-scan twin;
 * **first-class keyset cursors** (:class:`Page`) for pagination that stays
   stable under concurrent inserts;
-* a **unit-of-work write path** (:meth:`Database.batch`) with per-table
-  change listeners, and **snapshot/restore** of whole databases as
-  versioned JSON-serializable payloads.
+* **snapshot/restore** of whole databases as versioned JSON-serializable
+  payloads;
+* the **write-ahead log** (:class:`DurabilityManager`), whose records are
+  the stores' domain operations, replayed through their public methods.
 """
 
 from repro.storage.cursor import Page, decode_token, encode_token
@@ -22,11 +23,10 @@ from repro.storage.database import Database, payload_from_bytes, payload_to_byte
 from repro.storage.index import HashIndex, SortedIndex, SpatialIndex
 from repro.storage.sharding import ShardedDatabase, ShardingConfig, shard_of
 from repro.storage.spec import IndexSpec
-from repro.storage.table import Change, Column, Schema, Table
+from repro.storage.table import Column, Schema, Table
 from repro.storage.wal import DurabilityConfig, DurabilityManager
 
 __all__ = [
-    "Change",
     "Column",
     "Database",
     "DurabilityConfig",

@@ -6,13 +6,8 @@ reproduction each of those is a :class:`Database` instance holding typed
 :class:`~repro.storage.table.Table` objects (the tracking DB additionally
 wraps a spatial index, see :mod:`repro.spatialdb`).
 
-Beyond the table registry, the database is the unit-of-work and the
-persistence boundary:
+Beyond the table registry, the database is the persistence boundary:
 
-* :meth:`Database.batch` opens a write batch — change-listener
-  notifications from every member table buffer and are delivered
-  *coalesced, per table* when the batch closes (the generalization of the
-  user manager's bulk fix-listener channel);
 * :meth:`Database.snapshot` / :meth:`Database.restore` capture and reload
   every table as one versioned, JSON-serializable payload;
 * :meth:`Database.stats` aggregates per-table row counts, mutation
@@ -23,19 +18,10 @@ from __future__ import annotations
 
 import gzip
 import json
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Tuple
+from typing import Any, Dict, List
 
 from repro.errors import DuplicateError, NotFoundError, ValidationError
-from repro.storage.table import Change, ChangeListener, Schema, Table
-
-#: One atomic commit as observed by a database commit listener: the
-#: per-table change groups a single write (or one closed ``batch()``)
-#: produced, in delivery order.
-Commit = List[Tuple[str, List[Change]]]
-
-#: A commit listener receives one :data:`Commit` per unit of work.
-CommitListener = Callable[[Commit], None]
+from repro.storage.table import Schema, Table
 
 #: Version stamp written into (and checked against) snapshot payloads.
 SNAPSHOT_VERSION = 1
@@ -85,19 +71,10 @@ def payload_from_bytes(raw: bytes) -> Dict[str, Any]:
 class Database:
     """A named registry of tables."""
 
-    #: Wiring, not state: commit listeners are re-attached by whoever owns
-    #: the database (the WAL, shard bridges) after a restore, and the
-    #: bridged-table set refills as those bridges re-register.
-    SNAPSHOT_EXEMPT = ("_commit_listeners", "_bridged")
-
     def __init__(self, name: str) -> None:
         self._name = name
         self._tables: Dict[str, Table] = {}
-        self._batch_depth = 0
         self._query_observer = None
-        self._commit_listeners: List[CommitListener] = []
-        self._bridged: set = set()
-        self._commit_buffer: Any = None
 
     @property
     def name(self) -> str:
@@ -112,12 +89,8 @@ class Database:
             )
         table = Table(schema)
         self._tables[schema.name] = table
-        if self._batch_depth > 0:
-            table._begin_batch()
         if self._query_observer is not None:
             table.set_query_observer(self._query_observer)
-        if self._commit_listeners:
-            self._bridge_table(schema.name, table)
         return table
 
     def table(self, name: str) -> Table:
@@ -153,79 +126,6 @@ class Database:
         self._query_observer = observer
         for table in self._tables.values():
             table.set_query_observer(observer)
-
-    # Unit of work ---------------------------------------------------------
-
-    def add_listener(self, table_name: str, listener: ChangeListener) -> None:
-        """Register a change listener on one member table."""
-        self.table(table_name).add_listener(listener)
-
-    def add_commit_listener(self, listener: CommitListener) -> None:
-        """Observe whole units of work instead of single tables.
-
-        The listener receives one :data:`Commit` — a list of
-        ``(table_name, [Change, ...])`` groups — per atomic write: a bare
-        mutation outside a batch delivers a one-group commit immediately,
-        while everything inside one outermost :meth:`batch` arrives as a
-        single commit with every touched table's coalesced changes.  This
-        is the write-ahead log's feed: commit boundaries here become
-        atomic commit records there.
-        """
-        if not self._commit_listeners:
-            for name, table in self._tables.items():
-                self._bridge_table(name, table)
-        self._commit_listeners.append(listener)
-
-    def _bridge_table(self, name: str, table: Table) -> None:
-        if name in self._bridged:
-            return
-        self._bridged.add(name)
-        table.add_listener(
-            lambda changes, _name=name: self._observe_table_changes(_name, changes)
-        )
-
-    def _observe_table_changes(self, table_name: str, changes: List[Change]) -> None:
-        if not self._commit_listeners or not changes:
-            return
-        group = (table_name, list(changes))
-        if self._commit_buffer is not None:
-            self._commit_buffer.append(group)
-            return
-        commit = [group]
-        for listener in self._commit_listeners:
-            listener(commit)
-
-    @contextmanager
-    def batch(self) -> Iterator["Database"]:
-        """Open a write batch over every table in the database.
-
-        Inside the batch, mutations apply immediately (reads see them) but
-        change-listener notifications buffer; when the batch closes each
-        table delivers its changes as *one* coalesced batch — the same
-        per-item vs. bulk shape the user manager's fix listeners have.
-        Batches nest: only the outermost close delivers.  Changes made
-        before an exception are still delivered, mirroring how partial
-        batch ingests notify listeners of the fixes that were accepted.
-        """
-        self._batch_depth += 1
-        if self._batch_depth == 1:
-            for table in self._tables.values():
-                table._begin_batch()
-        try:
-            yield self
-        finally:
-            self._batch_depth -= 1
-            if self._batch_depth == 0:
-                if self._commit_listeners:
-                    self._commit_buffer = []
-                try:
-                    for table in self._tables.values():
-                        table._end_batch()
-                finally:
-                    buffered, self._commit_buffer = self._commit_buffer, None
-                    if buffered:
-                        for listener in self._commit_listeners:
-                            listener(buffered)
 
     # Snapshot / restore ---------------------------------------------------
 

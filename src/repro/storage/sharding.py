@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import time
 import zlib
-from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import PipelineError, ValidationError
 from repro.storage.cursor import Page, decode_token, encode_token
@@ -148,20 +147,6 @@ class ShardedDatabase:
     def set_fanout_observer(self, observer: Optional[Callable[[str, float], None]]) -> None:
         """Install a telemetry observer timing cross-shard fan-out reads."""
         self._fanout_observer = observer
-
-    def add_commit_listener(self, listener: Callable[[int, Any], None]) -> None:
-        """Observe every shard's atomic commits, tagged with the shard index.
-
-        ``listener(shard, commit)`` with the same commit shape as
-        :meth:`Database.add_commit_listener
-        <repro.storage.database.Database.add_commit_listener>` — the
-        write-ahead log uses the shard index to route frames to the
-        owning shard's log file.
-        """
-        for index, db in enumerate(self._dbs):
-            db.add_commit_listener(
-                lambda commit, _shard=index: listener(_shard, commit)
-            )
 
     def for_key(self, key: str) -> Database:
         """The database owning ``key``."""
@@ -313,16 +298,6 @@ class ShardedDatabase:
         if observer is not None:
             observer(table_name, time.perf_counter() - start)
         return Page(items=merged_rows, next_token=next_token)
-
-    # Unit of work ---------------------------------------------------------
-
-    @contextmanager
-    def batch(self) -> Iterator["ShardedDatabase"]:
-        """Open a write batch spanning every shard (coalesced per table)."""
-        with ExitStack() as stack:
-            for db in self._dbs:
-                stack.enter_context(db.batch())
-            yield self
 
     # Snapshot / restore ---------------------------------------------------
 

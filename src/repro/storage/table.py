@@ -15,10 +15,8 @@ The storage-engine surface of one table:
   token resumes strictly after the last row served, stable under
   concurrent inserts;
 * **change tracking** — a monotonic :attr:`Table.version` bumps on every
-  mutation (the gateway keys weak ETags on it), per-op counters feed
-  :meth:`Table.stats`, and registered listeners receive
-  :class:`Change` batches (coalesced inside
-  :meth:`Database.batch() <repro.storage.database.Database.batch>`);
+  mutation (the gateway keys weak ETags on it) and per-op counters feed
+  :meth:`Table.stats`;
 * **snapshot/restore** — :meth:`Table.snapshot` captures the rows,
   :meth:`Table.restore` reloads them through validation and rebuilds every
   index.
@@ -130,28 +128,6 @@ class Schema:
         return validated
 
 
-@dataclass(frozen=True)
-class Change:
-    """One observed mutation, delivered to table change listeners.
-
-    ``op`` is ``"insert"``/``"update"``/``"delete"`` with the affected
-    row, or ``"clear"`` (whole table dropped; ``key`` is ``None``).
-    ``prev_key`` is set only on an ``update`` that moved the row to a new
-    primary key — replaying the change then needs the old key to find the
-    row, exactly like :meth:`Table.update` did.
-    """
-
-    op: str
-    key: Any
-    row: Row
-    prev_key: Any = None
-
-
-#: A change listener receives the batch of changes one write (or one
-#: ``Database.batch()`` unit of work) produced for its table.
-ChangeListener = Callable[[List[Change]], None]
-
-
 def _columns_key_func(columns: Tuple[str, ...]) -> Callable[[Row], Any]:
     if len(columns) == 1:
         column = columns[0]
@@ -213,10 +189,6 @@ class Table:
             "index_hits": 0,
             "scans": 0,
         }
-        self._listeners: List[ChangeListener] = []
-        #: Non-None while a ``Database.batch()`` is open: changes buffer
-        #: here and are delivered coalesced when the batch closes.
-        self._pending_changes: Optional[List[Change]] = None
         #: Telemetry hook: ``(plan, elapsed_s, rows) -> None`` called by
         #: the timed read path (keyset page walks).  ``None`` keeps that
         #: path on a single attribute check — the disabled telemetry budget.
@@ -283,35 +255,6 @@ class Table:
 
     # Mutation -------------------------------------------------------------
 
-    def add_listener(self, listener: ChangeListener) -> None:
-        """Register a callback for committed changes on this table.
-
-        Each single write delivers a one-element batch; writes inside
-        :meth:`Database.batch() <repro.storage.database.Database.batch>`
-        are coalesced and delivered once when the batch closes — the same
-        per-fix vs. bulk shape the user manager's fix-listener channel has.
-        """
-        self._listeners.append(listener)
-
-    def _commit(self, change: Change) -> None:
-        self._version += 1
-        if self._pending_changes is not None:
-            self._pending_changes.append(change)
-        elif self._listeners:
-            batch = [change]
-            for listener in self._listeners:
-                listener(batch)
-
-    def _begin_batch(self) -> None:
-        if self._pending_changes is None:
-            self._pending_changes = []
-
-    def _end_batch(self) -> None:
-        pending, self._pending_changes = self._pending_changes, None
-        if pending:
-            for listener in self._listeners:
-                listener(pending)
-
     def insert(self, row: Row) -> Any:
         """Insert a new row; returns its primary key."""
         validated = self._schema.validate_row(row)
@@ -327,7 +270,7 @@ class Table:
         for index in self._indexes.values():
             index.add(key, validated, seq)
         self._stats["inserts"] += 1
-        self._commit(Change("insert", key, dict(validated)))
+        self._version += 1
         return key
 
     def upsert(self, row: Row) -> Any:
@@ -376,14 +319,7 @@ class Table:
         for index in self._indexes.values():
             index.add(new_key, validated, seq)
         self._stats["updates"] += 1
-        self._commit(
-            Change(
-                "update",
-                new_key,
-                dict(validated),
-                prev_key=key if new_key != key else None,
-            )
-        )
+        self._version += 1
         return dict(validated)
 
     def delete(self, key: Any) -> None:
@@ -395,22 +331,16 @@ class Table:
         for index in self._indexes.values():
             index.remove(key, row, seq)
         self._stats["deletes"] += 1
-        self._commit(Change("delete", key, dict(row)))
+        self._version += 1
 
     def clear(self) -> None:
-        """Remove all rows.
-
-        Listeners observe this as one ``Change("clear", None, {})`` — not
-        a delete per row — so derived structures kept in sync through the
-        listener channel can reset instead of silently retaining rows.
-        """
-        had_rows = bool(self._rows)
+        """Remove all rows: one version bump, and none on an empty table."""
+        if self._rows:
+            self._version += 1
         self._rows.clear()
         self._seqs.clear()
         for index in self._indexes.values():
             index.clear()
-        if had_rows:
-            self._commit(Change("clear", None, {}))
 
     # Reads ----------------------------------------------------------------
 
@@ -610,23 +540,13 @@ class Table:
     def restore(self, rows: Iterable[Row]) -> int:
         """Replace the table contents with ``rows`` (validated, re-indexed).
 
-        Returns the number of rows loaded.  Listeners are not invoked —
-        a restore reproduces state, it does not originate changes.
+        Returns the number of rows loaded.
         """
-        listeners, self._listeners = self._listeners, []
-        # Also suspend batch buffering: with an open Database.batch() the
-        # restore's inserts would otherwise be delivered as a coalesced
-        # change batch once the listeners are re-attached.
-        pending, self._pending_changes = self._pending_changes, None
-        try:
-            self.clear()
-            count = 0
-            for row in rows:
-                self.insert(row)
-                count += 1
-        finally:
-            self._listeners = listeners
-            self._pending_changes = pending
+        self.clear()
+        count = 0
+        for row in rows:
+            self.insert(row)
+            count += 1
         return count
 
     def stats(self) -> Dict[str, int]:

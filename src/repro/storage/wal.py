@@ -2,8 +2,8 @@
 
 Durability before this module was full-JSON snapshots: a crash lost
 everything since the last :meth:`PphcrServer.snapshot`.  The WAL closes
-that gap by appending every committed unit of work to an append-only log,
-so recovery becomes *snapshot + log tail* and a fresh process can replay
+that gap by appending every committed write to an append-only log, so
+recovery becomes *snapshot + log tail* and a fresh process can replay
 exactly the writes the snapshot missed — point-in-time recovery without
 re-ingesting anything from clients.
 
@@ -26,30 +26,27 @@ order is preserved within each file, and cross-shard dependencies —
 e.g. feedback learning reading the content catalogue — are ordered by
 program-order happens-before).
 
-Record kinds inside a commit:
+Record kinds inside a commit, each one a domain operation replayed
+through the owning store's public methods:
 
-``table``
-    Raw :class:`~repro.storage.table.Change` groups from a database
-    commit listener (see :meth:`Database.add_commit_listener
-    <repro.storage.database.Database.add_commit_listener>`): one group
-    per table, the whole commit applied atomically on replay.  Used for
-    the profiles and feedbacks DBs, whose rows carry everything replay
-    needs.
 ``fixes``
     Accepted GPS fixes (the tracking DB's dict-backed per-user histories
     cannot be reconstructed from its ``latest`` table alone, so the WAL
-    subscribes to the user manager's fix-listener channel instead and
-    replays ingest).
-``content`` / ``users`` / ``tracking`` / ``editorial`` / ``server``
-    Domain operations replayed through the owning store's public methods
-    (full clip payloads, preference seeding, prunes, editorial injections
-    with their already generated ids, text-model refreshes) — state that
-    table rows alone under-determine.
+    subscribes to the user manager's fix-listener channel and replays
+    ingest).
+``users``
+    Registrations (the profile row), feedback events (the stored row, its
+    event id drawn live, so replay draws no new id) and preference
+    seeding, replayed through :meth:`UserManager.apply_logged_op
+    <repro.users.management.UserManager.apply_logged_op>`.
+``content`` / ``tracking`` / ``editorial`` / ``server``
+    Full clip payloads, prunes, editorial injections with their already
+    generated ids, text-model refreshes and classifier training — state
+    that table rows alone under-determine.
 
-The tracking DB's ``latest`` table and the content DB's tables are
-*derived* channels: their raw changes are suppressed (counted in
-:meth:`DurabilityManager.stats`) because replaying the fix stream and the
-content domain operations rewrites them identically.
+No table's raw changes are logged: every table is written by one of those
+operations, so replaying them rewrites the tables (the tracking DB's
+``latest`` table and the content DB's tables included) identically.
 
 Torn tails: a crash can leave a half-written frame (or garbage) at the
 end of a log.  :func:`scan_frames` walks frame by frame and stops at the
@@ -86,8 +83,8 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
-from repro.storage.database import Database, payload_from_bytes, payload_to_bytes
-from repro.storage.sharding import ShardedDatabase, shard_of
+from repro.storage.database import payload_from_bytes, payload_to_bytes
+from repro.storage.sharding import shard_of
 
 #: Version stamp carried in checkpoint payloads.
 CHECKPOINT_VERSION = 1
@@ -114,9 +111,9 @@ GLOBAL_LOG = "global"
 # recovery rebuild the state this event announces?" and writing the answer
 # down where replay code lives.
 
-#: Topics announcing mutations some WAL channel captures: a table change
-#: listener, the fix stream, or a domain/server op record that
-#: :func:`apply_commit` replays through the owning store's public methods.
+#: Topics announcing mutations some WAL channel captures: the fix stream
+#: or a domain/server op record that :func:`apply_commit` replays through
+#: the owning store's public methods.
 WAL_LOGGED_TOPICS = frozenset(
     {
         # content op "ingest" carries the full clip payload (including any
@@ -127,7 +124,7 @@ WAL_LOGGED_TOPICS = frozenset(
         "classifier.trained",
         # server op "refresh_text_model" refits the TF-IDF model.
         "recommender.text_model_refreshed",
-        # profiles table change channel (recorded raw commits).
+        # users op "register" carries the profile row.
         "user.registered",
     }
 )
@@ -275,56 +272,6 @@ def load_checkpoint(directory: Path) -> Optional[Dict[str, Any]]:
 # Replay --------------------------------------------------------------------
 
 
-def apply_table_changes(table, changes: List[Dict[str, Any]]) -> None:
-    """Replay encoded :class:`~repro.storage.table.Change` records.
-
-    Each op goes through the same public mutator the original write used,
-    so version counters, sequence numbers and secondary indexes evolve
-    exactly as they did live — including ``clear``, which must reset
-    index/version state identically to a live :meth:`Table.clear`.
-    """
-    for change in changes:
-        op = change["op"]
-        if op == "insert":
-            table.insert(change["row"])
-        elif op == "update":
-            table.update(change.get("prev") or change["key"], change["row"])
-        elif op == "delete":
-            table.delete(change["key"])
-        elif op == "clear":
-            table.clear()
-        else:
-            raise ValidationError(f"unknown change op {op!r} in WAL frame")
-
-
-def _resolve_database(server, name: str):
-    if name == "profiles":
-        return server.users.profiles_database
-    if name == "feedbacks":
-        return server.users.feedback.database
-    if name == "tracking":
-        return server.users.tracking.database
-    if name == "content":
-        return server.content.database
-    raise ValidationError(f"WAL frame names unknown database {name!r}")
-
-
-def _apply_table_record(server, record: Dict[str, Any]) -> None:
-    database = _resolve_database(server, record["db"])
-    shard = record.get("shard")
-    db = database.shard(shard) if isinstance(database, ShardedDatabase) else database
-    table_name = record["table"]
-    changes = record["changes"]
-    apply_table_changes(db.table(table_name), changes)
-    # Dict-backed caches that live writes maintained alongside the table.
-    if record["db"] == "profiles" and table_name == "profiles":
-        server.users.replay_profile_changes(shard, changes)
-    elif record["db"] == "feedbacks" and table_name == "feedback":
-        for change in changes:
-            if change["op"] == "insert":
-                server.users.replay_feedback_row(change["row"])
-
-
 def _apply_fixes_record(server, record: Dict[str, Any]) -> None:
     from repro.geo import GeoPoint
     from repro.spatialdb import GpsFix
@@ -353,9 +300,7 @@ def apply_commit(server, commit: Dict[str, Any]) -> int:
     applied = 0
     for record in commit["records"]:
         kind = record["kind"]
-        if kind == "table":
-            _apply_table_record(server, record)
-        elif kind == "fixes":
+        if kind == "fixes":
             _apply_fixes_record(server, record)
         elif kind == "content":
             server.content.apply_logged_op(record["op"], record["data"])
@@ -368,14 +313,7 @@ def apply_commit(server, commit: Dict[str, Any]) -> int:
             else:
                 raise ValidationError(f"unknown tracking op {op!r} in WAL frame")
         elif kind == "users":
-            op = record["op"]
-            if op == "seed_preferences":
-                data = record["data"]
-                server.users.seed_preferences(
-                    data["user_id"], data["preferred"], data["disliked"]
-                )
-            else:
-                raise ValidationError(f"unknown users op {op!r} in WAL frame")
+            server.users.apply_logged_op(record["op"], record["data"])
         elif kind == "editorial":
             op = record["op"]
             if op == "inject":
@@ -503,7 +441,6 @@ class DurabilityManager:
         self._lock = threading.Lock()
         self._suspend_depth = 0
         self._writers: Dict[str, _LogWriter] = {}
-        self._suppressed_changes = 0
         self._appends = None
         self._bytes = None
         self._fsync_seconds = None
@@ -559,18 +496,7 @@ class DurabilityManager:
         self._next_lsn = last_lsn + 1
 
     def attach(self, server) -> None:
-        """Subscribe to every change channel of a server.
-
-        Change listeners go on *every* database (sharded and not); the
-        derived channels (tracking's ``latest`` table, the content
-        catalogue's tables) are suppressed at the policy layer because
-        their state is rewritten identically by replaying the fix stream
-        and the content domain records — see the module docstring.
-        """
-        self._observe_sharded("profiles", server.users.profiles_database, record=True)
-        self._observe_sharded("feedbacks", server.users.feedback.database, record=True)
-        self._observe_sharded("tracking", server.users.tracking.database, record=False)
-        self._observe_database("content", server.content.database, record=False)
+        """Subscribe to every domain-operation channel of a server."""
         server.users.add_fix_listener(self._on_fixes)
         server.content.set_op_listener(self._on_content_op)
         server.users.set_op_listener(self._on_users_op)
@@ -608,7 +534,7 @@ class DurabilityManager:
             self._suspend_depth -= 1
 
     def stats(self) -> Dict[str, Any]:
-        """Counters for dashboards: per-log sizes, LSN, suppressed changes."""
+        """Counters for dashboards: per-log sizes and frames, the LSN."""
         return {
             "directory": str(self._directory),
             "last_lsn": self.last_lsn,
@@ -616,45 +542,9 @@ class DurabilityManager:
                 key: {"bytes": writer.size, "frames": writer.frames}
                 for key, writer in sorted(self._writers.items())
             },
-            "suppressed_derived_changes": self._suppressed_changes,
         }
 
     # Capture --------------------------------------------------------------
-
-    def _observe_sharded(self, name: str, db: ShardedDatabase, *, record: bool) -> None:
-        db.add_commit_listener(
-            lambda shard, commit: self._on_db_commit(name, shard, commit, record)
-        )
-
-    def _observe_database(self, name: str, db: Database, *, record: bool) -> None:
-        db.add_commit_listener(
-            lambda commit: self._on_db_commit(name, None, commit, record)
-        )
-
-    def _on_db_commit(self, name, shard, commit, record) -> None:
-        if self.suspended:
-            return
-        if not record:
-            self._suppressed_changes += sum(len(changes) for _t, changes in commit)
-            return
-        records = []
-        for table_name, changes in commit:
-            encoded = []
-            for change in changes:
-                entry = {"op": change.op, "key": change.key, "row": change.row}
-                if change.prev_key is not None:
-                    entry["prev"] = change.prev_key
-                encoded.append(entry)
-            records.append(
-                {
-                    "kind": "table",
-                    "db": name,
-                    "shard": shard,
-                    "table": table_name,
-                    "changes": encoded,
-                }
-            )
-        self.append(shard, records)
 
     def _on_fixes(self, fixes) -> None:
         if self.suspended or not fixes:
@@ -682,8 +572,8 @@ class DurabilityManager:
         self.append(None, [{"kind": "content", "op": op, "data": data}])
 
     def _on_users_op(self, op: str, data: Dict[str, Any]) -> None:
-        # Per-user state: the record lands on the owning shard's log so it
-        # stays ordered with the user's feedback learning.
+        # Per-user state: the record lands on the owning shard's log, in
+        # order with the user's fixes.
         if self.suspended:
             return
         shard = shard_of(data["user_id"], self._shards)

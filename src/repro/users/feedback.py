@@ -73,17 +73,16 @@ class FeedbackEvent:
 class FeedbackStore:
     """Table-backed store of feedback events with per-user/content access.
 
-    Every access path is a declarative index on the schema: hash buckets
-    for the per-user and per-content lookups, a sorted
-    ``(user_id, timestamp_s)`` index that serves time-ordered reads and
-    the keyset-paginated history endpoint without re-sorting, and a
-    sorted ``(timestamp_s,)`` index behind the global merged listing.
+    Every access path is a declarative index on the schema: a hash
+    bucket for the per-content lookup, and a sorted
+    ``(user_id, timestamp_s)`` index that serves a user's time-ordered
+    reads and the keyset-paginated history endpoint without re-sorting.
 
     With ``shards > 1`` events partition by crc32 of the user id (one
     table per shard behind a
     :class:`~repro.storage.sharding.ShardedDatabase`): writes and per-user
-    reads route to the owning shard, per-content and global reads fan out
-    and merge.  ``shards == 1`` is exactly the old single-table behaviour.
+    reads route to the owning shard, per-content reads fan out and merge.
+    ``shards == 1`` is exactly the old single-table behaviour.
     """
 
     def __init__(self, *, shards: int = 1) -> None:
@@ -102,12 +101,10 @@ class FeedbackStore:
                         Column("is_clip", bool, has_default=True, default=True),
                     ],
                     indexes=[
-                        IndexSpec("user_id"),
                         IndexSpec("content_id"),
                         IndexSpec(
                             "user_time", kind="sorted", columns=("user_id", "timestamp_s")
                         ),
-                        IndexSpec("time", kind="sorted", columns=("timestamp_s",)),
                     ],
                 )
             )
@@ -148,7 +145,7 @@ class FeedbackStore:
         listened_s: float = 0.0,
         is_clip: bool = True,
     ) -> FeedbackEvent:
-        """Store a new feedback event and return it."""
+        """Store a new feedback event under a fresh id and return it."""
         event = FeedbackEvent(
             event_id=new_id("fb"),
             user_id=user_id,
@@ -158,18 +155,12 @@ class FeedbackStore:
             listened_s=listened_s,
             is_clip=is_clip,
         )
-        self._table_for(user_id).insert(
-            {
-                "event_id": event.event_id,
-                "user_id": event.user_id,
-                "content_id": event.content_id,
-                "kind": event.kind.value,
-                "timestamp_s": event.timestamp_s,
-                "listened_s": event.listened_s,
-                "is_clip": event.is_clip,
-            }
-        )
+        self.insert(event)
         return event
+
+    def insert(self, event: FeedbackEvent) -> None:
+        """Store an event under its own id (WAL replay passes the logged one)."""
+        self._table_for(event.user_id).insert(self.row_of(event))
 
     def __len__(self) -> int:
         return sum(len(table) for table in self._db.tables("feedback"))
@@ -197,26 +188,23 @@ class FeedbackStore:
 
     def events_page_for_user(
         self, user_id: str, *, cursor: Optional[str] = None, limit: int = 50
-    ) -> Page[FeedbackEvent]:
-        """One time-ordered page of a user's feedback history.
+    ) -> Page[Dict[str, Any]]:
+        """One time-ordered page of a user's stored feedback rows.
 
         A keyset cursor over the sorted ``(user_id, timestamp_s)`` index:
         the token resumes strictly after the last event served, so the
         walk is stable while new feedback keeps arriving.  One user's
         events all live on the owning shard, so the token format is
-        identical across shard layouts.
+        identical across shard layouts.  The items are the index's row
+        copies (see :meth:`row_of`); no :class:`FeedbackEvent` is built.
         """
-        page = self._table_for(user_id).page_by_index(
+        return self._table_for(user_id).page_by_index(
             "user_time",
             limit=limit,
             after_token=cursor,
             low=(user_id,),
             high=(user_id,),
             high_inclusive=True,
-        )
-        return Page(
-            items=[self._to_event(row) for row in page.items],
-            next_token=page.next_token,
         )
 
     def events_for_content(self, content_id: str) -> List[FeedbackEvent]:
@@ -233,23 +221,6 @@ class FeedbackStore:
         ]
         events.sort(key=lambda event: event.timestamp_s)
         return events
-
-    def events_page(
-        self, *, cursor: Optional[str] = None, limit: int = 50
-    ) -> Page[FeedbackEvent]:
-        """One globally time-ordered page across all users.
-
-        The merged keyset walk: each shard's sorted ``(timestamp_s,)``
-        index streams independently and the router k-way merges them; the
-        token carries one resume position per shard (see
-        :meth:`ShardedDatabase.page_by_index
-        <repro.storage.sharding.ShardedDatabase.page_by_index>`).
-        """
-        page = self._db.page_by_index("feedback", "time", limit=limit, after_token=cursor)
-        return Page(
-            items=[self._to_event(row) for row in page.items],
-            next_token=page.next_token,
-        )
 
     def skip_rate(self, user_id: Optional[str] = None) -> float:
         """Fraction of terminal events (skip/complete/channel change) that are skips.
@@ -292,6 +263,19 @@ class FeedbackStore:
         return [
             event.content_id for event in self.events_for_user(user_id) if not event.is_positive
         ]
+
+    @staticmethod
+    def row_of(event: FeedbackEvent) -> Dict[str, Any]:
+        """The row an event is stored as (and the WAL logs)."""
+        return {
+            "event_id": event.event_id,
+            "user_id": event.user_id,
+            "content_id": event.content_id,
+            "kind": event.kind.value,
+            "timestamp_s": event.timestamp_s,
+            "listened_s": event.listened_s,
+            "is_clip": event.is_clip,
+        }
 
     @classmethod
     def event_from_row(cls, row: Dict) -> FeedbackEvent:

@@ -82,17 +82,36 @@ class UserManager:
         self._content = content
         #: Callables receiving each batch of accepted fixes; see add_fix_listener.
         self._fix_listeners: List[Callable[[List[GpsFix]], None]] = []
-        #: Durability hook: domain operations that mutate state no table
-        #: row captures (preference seeding); see set_op_listener.
+        #: Durability hook: registrations, feedback events and preference
+        #: seeding, logged as domain operations; see set_op_listener.
         self._op_listener = None
 
     def set_op_listener(self, listener) -> None:
-        """Install the WAL's domain-operation listener (``None`` clears)."""
+        """Install the WAL's domain-operation listener (``None`` clears).
+
+        ``listener(op, data)`` fires after each successful write with a
+        payload :meth:`apply_logged_op` replays exactly.
+        """
         self._op_listener = listener
 
     def _log_op(self, op: str, data: Dict[str, Any]) -> None:
         if self._op_listener is not None:
             self._op_listener(op, data)
+
+    def apply_logged_op(self, op: str, data: Dict[str, Any]) -> None:
+        """Replay one logged per-user operation (the WAL's replay entry)."""
+        if op == "register":
+            self.register(self._profile_from_row(data))
+        elif op == "record_feedback":
+            # The logged row carries the event id drawn live: replay
+            # stores it as is and draws no new one.
+            event = FeedbackStore.event_from_row(data)
+            self._feedback.insert(event)
+            self._learn_from(event)
+        elif op == "seed_preferences":
+            self.seed_preferences(data["user_id"], data["preferred"], data["disliked"])
+        else:
+            raise ValidationError(f"unknown logged users op {op!r}")
 
     @property
     def shard_count(self) -> int:
@@ -110,12 +129,12 @@ class UserManager:
         shard = self.shard_of(profile.user_id)
         if profile.user_id in self._profiles[shard]:
             raise DuplicateError(f"user {profile.user_id!r} is already registered")
-        self._profiles_db.table_for(profile.user_id, "profiles").insert(
-            self._profile_row(profile)
-        )
+        row = self._profile_row(profile)
+        self._profiles_db.table_for(profile.user_id, "profiles").insert(row)
         self._profiles[shard][profile.user_id] = profile
         preference = UserPreferenceProfile(profile.user_id)
         self._preferences[shard][profile.user_id] = preference
+        self._log_op("register", row)
         return preference
 
     @staticmethod
@@ -254,6 +273,7 @@ class UserManager:
             listened_s=listened_s,
             is_clip=is_clip,
         )
+        self._log_op("record_feedback", FeedbackStore.row_of(event))
         self._learn_from(event)
         return event
 
@@ -378,41 +398,6 @@ class UserManager:
         fixes that *were* accepted.
         """
         return self._apply_group(fixes)
-
-    def replay_profile_changes(self, shard: int, changes: List[Dict[str, Any]]) -> None:
-        """Re-derive the per-shard object caches from replayed table changes.
-
-        The generic table replay has already applied the changes to the
-        profiles table; this mirrors what the live write did to the dict
-        caches: a registration insert also creates the empty preference
-        profile, an update refreshes the cached profile only.
-        """
-        for change in changes:
-            op = change["op"]
-            if op in ("insert", "update"):
-                profile = self._profile_from_row(change["row"])
-                self._profiles[shard][profile.user_id] = profile
-                if op == "insert":
-                    self._preferences[shard].setdefault(
-                        profile.user_id, UserPreferenceProfile(profile.user_id)
-                    )
-            elif op == "delete":
-                user_id = change["row"]["user_id"]
-                self._profiles[shard].pop(user_id, None)
-                self._preferences[shard].pop(user_id, None)
-            elif op == "clear":
-                self._profiles[shard].clear()
-                self._preferences[shard].clear()
-
-    def replay_feedback_row(self, row: Dict[str, Any]) -> None:
-        """Re-run preference learning for a replayed feedback insert.
-
-        The table replay restored the row (with its original event id);
-        what it cannot restore is the learned preference delta, so the
-        event is rebuilt from the row and folded in exactly as
-        :meth:`record_feedback` did.
-        """
-        self._learn_from(self._feedback.event_from_row(row))
 
     # Snapshot / restore ---------------------------------------------------
 

@@ -99,6 +99,42 @@ class TestGridIndexQueries:
         items = dict(index.items())
         assert items == {"a": CENTER}
 
+    def test_sparse_walk_returns_what_the_window_walk_returns(self):
+        """A query whose window holds more cells than the index has occupied
+        visits only the occupied ones; filler items far away push the same
+        index back onto the cell-by-cell window walk, and every query must
+        return the identical list, ties in the same order."""
+        index = GridIndex(cell_size_m=500.0)
+        for i, point in enumerate(ring(8, 700.0)):
+            index.insert(f"ring-{i}", point)
+        # Two items at one position, and two in different cells at exactly
+        # equal distance (mirrored in longitude about the centre).
+        index.insert("twin-a", destination_point(CENTER, 20.0, 300.0))
+        index.insert("twin-b", destination_point(CENTER, 20.0, 300.0))
+        index.insert("east", GeoPoint(CENTER.lat, CENTER.lon + 0.009))
+        index.insert("west", GeoPoint(CENTER.lat, CENTER.lon - 0.009))
+        queries = [
+            (CENTER, 1500.0),
+            (CENTER, 720.0),
+            (destination_point(CENTER, 90.0, 400.0), 1000.0),
+            (destination_point(CENTER, 200.0, 900.0), 450.0),
+        ]
+
+        def window_cells(center, radius_m):
+            lat_cells, lon_cells = index._scan_extents(center, radius_m)
+            return (2 * lat_cells + 1) * (2 * lon_cells + 1)
+
+        assert all(window_cells(c, r) > len(index._cells) for c, r in queries)
+        sparse = [index.query_radius(center, radius) for center, radius in queries]
+        assert all(sparse)
+        distances = dict(sparse[0])
+        assert distances["twin-a"] == distances["twin-b"]
+        assert distances["east"] == distances["west"]
+        for i in range(300):
+            index.insert(f"filler-{i}", GeoPoint(CENTER.lat + 1.0 + i * 0.006, CENTER.lon))
+        assert all(window_cells(c, r) <= len(index._cells) for c, r in queries)
+        assert [index.query_radius(center, radius) for center, radius in queries] == sparse
+
 
 HIGH_LAT_CENTER = GeoPoint(68.4, 17.4)  # Narvik: lon degrees are ~2.7x shorter
 

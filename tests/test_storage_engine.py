@@ -8,8 +8,7 @@ The load-bearing properties:
   order;
 * **cursor stability** — keyset pages never duplicate or skip rows while
   rows are inserted between pages;
-* **unit of work** — change listeners see per-write batches normally and
-  one coalesced batch per table inside ``Database.batch()``;
+* **change counter** — every mutation bumps ``Table.version`` by one;
 * **snapshot/restore** — a database round-trips through its versioned
   JSON payload with indexes rebuilt and index reads intact.
 """
@@ -408,59 +407,7 @@ class TestKeysetCursors:
 
 
 class TestChangeListenersAndBatch:
-    def test_single_writes_deliver_single_changes(self):
-        db = Database("d")
-        table = db.create_table(events_schema())
-        batches = []
-        table.add_listener(batches.append)
-        table.insert({"event_id": "a", "user_id": "u", "kind": "ping", "timestamp_s": 1.0})
-        table.update("a", {"timestamp_s": 2.0})
-        table.delete("a")
-        assert [[change.op for change in batch] for batch in batches] == [
-            ["insert"],
-            ["update"],
-            ["delete"],
-        ]
-
-    def test_batch_coalesces_per_table(self):
-        db = Database("d")
-        table = db.create_table(events_schema())
-        other = db.create_table(
-            Schema(name="other", primary_key="k", columns=[Column("k", str)])
-        )
-        batches, other_batches = [], []
-        table.add_listener(batches.append)
-        other.add_listener(other_batches.append)
-        with db.batch():
-            table.insert({"event_id": "a", "user_id": "u", "kind": "ping", "timestamp_s": 1.0})
-            table.insert({"event_id": "b", "user_id": "u", "kind": "ping", "timestamp_s": 2.0})
-            other.insert({"k": "x"})
-            assert batches == []  # nothing delivered mid-batch
-        assert [len(batch) for batch in batches] == [2]
-        assert [change.key for change in batches[0]] == ["a", "b"]
-        assert [len(batch) for batch in other_batches] == [1]
-
-    def test_batch_delivers_accepted_changes_on_error(self):
-        db = Database("d")
-        table = db.create_table(events_schema())
-        batches = []
-        table.add_listener(batches.append)
-        with pytest.raises(DuplicateError):
-            with db.batch():
-                table.insert({"event_id": "a", "user_id": "u", "kind": "p", "timestamp_s": 1.0})
-                table.insert({"event_id": "a", "user_id": "u", "kind": "p", "timestamp_s": 2.0})
-        assert [len(batch) for batch in batches] == [1]
-
-    def test_nested_batches_deliver_once(self):
-        db = Database("d")
-        table = db.create_table(events_schema())
-        batches = []
-        table.add_listener(batches.append)
-        with db.batch():
-            table.insert({"event_id": "a", "user_id": "u", "kind": "p", "timestamp_s": 1.0})
-            with db.batch():
-                table.insert({"event_id": "b", "user_id": "u", "kind": "p", "timestamp_s": 2.0})
-        assert [len(batch) for batch in batches] == [2]
+    """The change counter the gateway keys weak ETags on."""
 
     def test_version_bumps_on_every_mutation(self):
         table = Table(events_schema())
@@ -469,6 +416,10 @@ class TestChangeListenersAndBatch:
         table.update("a", {"timestamp_s": 2.0})
         table.delete("a")
         assert table.version == v0 + 3
+        table.insert({"event_id": "b", "user_id": "u", "kind": "p", "timestamp_s": 3.0})
+        table.clear()
+        table.clear()  # nothing left to remove: no bump
+        assert table.version == v0 + 5
 
 
 class TestSnapshotRestore:
@@ -495,16 +446,6 @@ class TestSnapshotRestore:
         with pytest.raises(ValidationError):
             db.restore({"version": 1, "tables": {"ghost": []}})
 
-    def test_restore_does_not_notify_listeners(self):
-        db = Database("d")
-        table = db.create_table(events_schema())
-        table.insert({"event_id": "a", "user_id": "u", "kind": "p", "timestamp_s": 1.0})
-        payload = db.snapshot()
-        batches = []
-        table.add_listener(batches.append)
-        db.restore(payload)
-        assert batches == []
-
     def test_page_cursor_round_trips_json(self):
         page = Page(items=[1, 2, 3], next_token='["x",3]')
         assert list(page) == [1, 2, 3] and len(page) == 3
@@ -524,11 +465,3 @@ class TestSnapshotRestore:
         db2.restore(payload)
         assert table2.version >= version
 
-    def test_clear_notifies_listeners(self):
-        db = Database("d")
-        table = db.create_table(events_schema())
-        table.insert({"event_id": "a", "user_id": "u", "kind": "p", "timestamp_s": 1.0})
-        batches = []
-        table.add_listener(batches.append)
-        table.clear()
-        assert [[change.op for change in batch] for batch in batches] == [["clear"]]

@@ -26,11 +26,9 @@ from repro.loadgen.invariants import state_fingerprint
 from repro.pipeline import Gateway
 from repro.pipeline.server import PphcrServer, ServerConfig
 from repro.roadnet import CityGeneratorConfig
-from repro.storage import Column, Database, IndexSpec, Schema
 from repro.storage.replica import ReadReplica
 from repro.storage.wal import (
     DurabilityConfig,
-    apply_table_changes,
     encode_frame,
     log_paths,
     read_log_commits,
@@ -100,6 +98,21 @@ def wal(tmp_path):
 def fingerprint(world_or_server, user_ids):
     server = getattr(world_or_server, "server", world_or_server)
     return state_fingerprint(server, user_ids=user_ids, now_s=PROBE_S)
+
+
+def _history_bodies(gateway, user_id):
+    """Every page body of one listener's feedback history, as wire text."""
+    bodies, query = [], {}
+    while True:
+        status, body, _headers = gateway.handle_wire(
+            "GET", f"/v1/users/{user_id}/feedback", None, query=query
+        )
+        assert status == 200
+        bodies.append(body)
+        cursor = json.loads(body)["next_cursor"]
+        if cursor is None:
+            return bodies
+        query = {"cursor": cursor}
 
 
 def _commits():
@@ -221,111 +234,6 @@ class TestDurabilityConfig:
 
 
 # ---------------------------------------------------------------------------
-# Table-change replay (including the clear() regression)
-# ---------------------------------------------------------------------------
-
-
-def _tracked_pair():
-    """(live db, twin db, captured-records list) with WAL-style capture."""
-
-    def schema():
-        return Schema(
-            name="items",
-            primary_key="item_id",
-            columns=[
-                Column("item_id", str),
-                Column("owner", str),
-                Column("rank", float),
-            ],
-            indexes=[
-                IndexSpec("owner"),
-                IndexSpec("by_rank", kind="sorted", columns=("rank",)),
-            ],
-        )
-
-    live = Database("live")
-    live.create_table(schema())
-    twin = Database("twin")
-    twin.create_table(schema())
-    captured = []
-
-    def on_commit(commit):
-        for table_name, changes in commit:
-            encoded = []
-            for change in changes:
-                entry = {"op": change.op, "key": change.key, "row": change.row}
-                if change.prev_key is not None:
-                    entry["prev"] = change.prev_key
-                encoded.append(entry)
-            captured.append((table_name, encoded))
-
-    live.add_commit_listener(on_commit)
-    return live, twin, captured
-
-
-def _replay_into(twin, captured):
-    for table_name, changes in captured:
-        apply_table_changes(twin.table(table_name), changes)
-    captured.clear()
-
-
-def _table_state(table):
-    return {
-        "rows": sorted(table.rows(), key=lambda row: row["item_id"]),
-        "version": table.version,
-        "by_owner": sorted(
-            row["item_id"] for row in table.find_by_index("owner", "ada")
-        ),
-        "by_rank": [row["item_id"] for row in table.find_range("by_rank")],
-    }
-
-
-class TestTableChangeReplay:
-    def test_insert_update_delete_round_trip(self):
-        live, twin, captured = _tracked_pair()
-        table = live.table("items")
-        table.insert({"item_id": "a", "owner": "ada", "rank": 2.0})
-        table.insert({"item_id": "b", "owner": "bob", "rank": 1.0})
-        table.update("a", {"rank": 0.5})
-        table.delete("b")
-        _replay_into(twin, captured)
-        assert _table_state(twin.table("items")) == _table_state(table)
-
-    def test_clear_replay_resets_indexes_and_versions_identically(self):
-        """Regression: a replayed ``clear`` frame must behave like a live
-        ``clear()`` — indexes emptied, version bumped, later writes land
-        in identical state."""
-        live, twin, captured = _tracked_pair()
-        table = live.table("items")
-        for i in range(6):
-            table.insert(
-                {
-                    "item_id": f"i{i}",
-                    "owner": "ada" if i % 2 else "bob",
-                    "rank": float(i),
-                }
-            )
-        table.clear()
-        # Life after the clear must evolve identically too.
-        table.insert({"item_id": "z", "owner": "ada", "rank": 9.0})
-        _replay_into(twin, captured)
-        assert _table_state(twin.table("items")) == _table_state(table)
-        assert twin.table("items").version == table.version
-        assert twin.table("items").find_by_index("owner", "bob") == []
-
-    def test_batch_commits_replay_atomically(self):
-        live, twin, captured = _tracked_pair()
-        table = live.table("items")
-        with live.batch():
-            table.insert({"item_id": "a", "owner": "ada", "rank": 1.0})
-            table.insert({"item_id": "b", "owner": "ada", "rank": 2.0})
-        # One batch → one commit delivery.
-        assert len(captured) == 1
-        _replay_into(twin, captured)
-        assert _table_state(twin.table("items")) == _table_state(table)
-
-
-# ---------------------------------------------------------------------------
 # Whole-server recovery
 # ---------------------------------------------------------------------------
 
@@ -390,6 +298,34 @@ class TestServerRecovery:
         report = survivor.durability.replay_into(survivor, after_lsn=0)
         assert report["last_lsn"] == world.server.durability.last_lsn
         assert fingerprint(survivor, user_ids) == live
+
+    def test_registrations_and_feedback_replay_as_domain_ops(self, wal):
+        """Every logged record is a domain operation, and a server replayed
+        from birth serves each listener's feedback history byte for byte,
+        event ids included (``state_fingerprint`` drops them)."""
+        world = wal.world()
+        primary = Gateway(world.server)
+        status, _body, _headers = primary.handle_wire(
+            "POST", "/v1/users", json.dumps({"user_id": "walk-in", "display_name": "Walk-in"})
+        )
+        assert status == 201
+        status, body, _headers = primary.handle_wire("POST", "/v1/feedback", _feedback_body(world))
+        assert status == 201
+        event_id = json.loads(body)["event_id"]
+        commits = world.server.durability.read_commits(after_lsn=0)
+        kinds = {record["kind"] for commit in commits for record in commit["records"]}
+        assert "users" in kinds
+        assert kinds <= {"fixes", "users", "content", "tracking", "editorial", "server"}
+
+        survivor = wal.recover(world)
+        survivor.durability.replay_into(survivor, after_lsn=0)
+        replayed = Gateway(survivor)
+        user_ids = world.server.users.user_ids()
+        assert "walk-in" in user_ids and survivor.users.user_ids() == user_ids
+        for user_id in user_ids:
+            live = _history_bodies(primary, user_id)
+            assert _history_bodies(replayed, user_id) == live
+        assert event_id in _history_bodies(replayed, world.commuters[0].user_id)[-1]
 
     def test_restored_server_does_not_relog_restored_writes(self, wal):
         world = wal.world()
